@@ -1,9 +1,9 @@
 """Memory-mapped columnar postings: open-time, residency, probe work.
 
-Compares the three index substrates on the same join — the in-memory
+Compares the three index backends on the same join — the in-memory
 ``ScoredInvertedIndex``, the zero-copy mapped columns
-(``index_backend='mmap'``), and the varbyte streaming-decode fallback
-(``DiskProbeJoin``) — and measures what the mapped format exists for:
+(``index_backend='mmap'``), and the varbyte-compressed mapped file
+(``'mmap-varbyte'``) — and measures what the mapped format exists for:
 opening a persisted index is O(directory) (milliseconds regardless of
 posting volume) and serving faults in only the postings a query stream
 actually touches, not the file.
@@ -16,7 +16,6 @@ import time
 from harness import citation_words, run_join
 from repro import JaccardPredicate, OverlapPredicate
 from repro.core.service import SimilarityIndex
-from repro.storage.disk_index import DiskProbeJoin
 from repro.storage.mmap_index import MappedInvertedIndex
 
 N = 2000
@@ -35,46 +34,40 @@ def _open_ms(opener, rounds: int = 5) -> float:
     return best * 1000.0
 
 
-def test_substrates_probe_work_and_wall(benchmark, report):
+def test_substrates_probe_work_and_wall(benchmark, report, tmp_path):
     data = citation_words(N)
     predicate = OverlapPredicate(THRESHOLD)
+    paths = {backend: str(tmp_path / f"{backend}.rpmx") for backend in ("mmap", "mmap-varbyte")}
 
     def run():
-        memory = run_join("probe-count-optmerge", data, predicate)
-        mapped = run_join(
-            "probe-count-optmerge", data, predicate, index_backend="mmap"
-        )
-        disk = DiskProbeJoin().join(data, predicate)
-        return memory, mapped, disk
+        results = {"memory": run_join("probe-count-optmerge", data, predicate)}
+        for backend, path in paths.items():
+            results[backend] = run_join(
+                "probe-count-optmerge", data, predicate,
+                index_backend=backend, index_path=path,
+            )
+        return results
 
-    memory, mapped, disk = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert mapped.pair_set() == memory.pair_set() == disk.pair_set()
-    assert sorted((p.rid_a, p.rid_b, p.similarity) for p in mapped.pairs) == sorted(
-        (p.rid_a, p.rid_b, p.similarity) for p in memory.pairs
-    )
-    report(
-        "mmap: probe work by index substrate",
-        "in-memory ScoredInvertedIndex",
-        work=memory.counters.total_work(),
-        pairs=len(memory.pairs),
-        seconds=memory.elapsed_seconds,
-    )
-    report(
-        "mmap: probe work by index substrate",
-        "mapped columns (zero-copy)",
-        work=mapped.counters.total_work(),
-        pairs=len(mapped.pairs),
-        seconds=mapped.elapsed_seconds,
-    )
-    report(
-        "mmap: probe work by index substrate",
-        "disk varbyte (streaming decode)",
-        work=disk.counters.total_work(),
-        pairs=len(disk.pairs),
-        seconds=disk.elapsed_seconds,
-    )
-    # The mapped columns feed the identical merge: same counted work.
-    assert mapped.counters.total_work() == memory.counters.total_work()
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    memory = results["memory"]
+    expected = sorted((p.rid_a, p.rid_b, p.similarity) for p in memory.pairs)
+    for label, backend in (
+        ("in-memory ScoredInvertedIndex", "memory"),
+        ("mapped columns (zero-copy)", "mmap"),
+        ("mapped varbyte blocks (decode on access)", "mmap-varbyte"),
+    ):
+        result = results[backend]
+        assert sorted((p.rid_a, p.rid_b, p.similarity) for p in result.pairs) == expected
+        # Every backend feeds the identical merge: same counted work.
+        assert result.counters.total_work() == memory.counters.total_work()
+        report(
+            "mmap: probe work by index substrate",
+            label,
+            work=result.counters.total_work(),
+            pairs=len(result.pairs),
+            seconds=result.elapsed_seconds,
+            index_file_bytes=os.path.getsize(paths[backend]) if backend in paths else 0,
+        )
 
 
 def test_open_time_and_residency(benchmark, report, tmp_path):

@@ -9,9 +9,13 @@ those techniques from scratch:
 * :mod:`repro.compression.varbyte` — variable-byte codes,
 * :mod:`repro.compression.elias` — Elias gamma/delta bit-level codes,
 * :mod:`repro.compression.postings` — delta-encoded posting lists with
-  block skip pointers,
-* :mod:`repro.compression.compressed_join` — an online probe join over
-  a compressed index, for measuring the memory/CPU trade-off.
+  block skip pointers.
+
+A join over a compressed index is a substrate choice, not its own
+algorithm: ``index_backend="mmap-varbyte"`` lands a two-pass
+Probe-Count build in the mapped ``RPMX`` file of
+:mod:`repro.storage.mmap_index` with varbyte skip-block id columns,
+which decode one block at a time as the merge reads them.
 """
 
 from repro.compression.elias import (

@@ -8,7 +8,9 @@ always :meth:`BoundPredicate.verify`, so all algorithms (including the
 naive baseline) agree exactly on the output set.
 
 ``join_between`` implements the non-self join ("the extension to
-non-self-joins is obvious", §2): index one side, probe with the other.
+non-self-joins is obvious", §2) through the same driver: a two-pass
+Probe-Count run over the concatenation of both sides that indexes only
+the right side and probes only with the left.
 
 Runtime hardening lives here so every algorithm inherits it. ``join``
 accepts an optional :class:`~repro.runtime.context.JoinContext`; the
@@ -32,7 +34,6 @@ from repro.core.accumulator import (
     use_accumulator,
 )
 from repro.core.heap_merge import heap_merge
-from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.merge_opt import merge_opt
 from repro.core.records import Dataset
 from repro.core.results import JoinResult, MatchPair
@@ -84,7 +85,10 @@ class SetJoinAlgorithm(ABC):
     #: ``"mmap"`` lands the build pass in a write-once columnar file and
     #: probes it zero-copy through the mapping, so resident memory is
     #: the token directory plus touched postings instead of the full
-    #: index. Set via ``make_algorithm(..., index_backend=...)`` — the
+    #: index; ``"mmap-varbyte"`` writes the same file with the id
+    #: columns varbyte-gap-compressed into skip blocks (smaller file,
+    #: per-block decode on access). Set via
+    #: ``make_algorithm(..., index_backend=...)`` — the
     #: same instance-attribute pattern as ``bitmap_filter`` and
     #: ``merge_backend``, so it flows through ``similarity_join``, the
     #: parallel workers' algorithm specs, and the CLI unchanged. Only
@@ -97,7 +101,7 @@ class SetJoinAlgorithm(ABC):
     index_path: str | None = None
 
     # Per-run merge state: the resolved backend string and the dense
-    # accumulator buffer, armed by join()/join_between() and shared by
+    # accumulator buffer, armed by the driver and shared by
     # every probe of one execution via _merge_lists/_merge_opt_lists.
     _merge_mode: str | None = None
     _accumulator: ScoreAccumulator | None = None
@@ -119,6 +123,10 @@ class SetJoinAlgorithm(ABC):
     _resume_position: int = -1
     _restored_pairs: list[MatchPair] = []
     _bitmap = None
+    #: R–S split of the driven dataset, set by join_between() for one
+    #: execution: records ``[0, _between)`` are the probe (left) side,
+    #: ``[_between, n)`` the index (right) side. ``None`` for self-joins.
+    _between: int | None = None
 
     def join(
         self,
@@ -138,10 +146,23 @@ class SetJoinAlgorithm(ABC):
                 checkpointer attached, progress is flushed first so the
                 invocation can be resumed.
         """
+        return self._execute(dataset, predicate, context)
+
+    def _execute(
+        self,
+        dataset: Dataset,
+        predicate: SimilarityPredicate,
+        context,
+        between: int | None = None,
+    ) -> JoinResult:
+        """One driven run of :meth:`_run`; ``between`` is the R–S split
+        (see :attr:`_between`), ``None`` for a self-join."""
         self._check_index_backend()
         bound = predicate.bind(dataset)
         counters = CostCounters()
-        restored = self._install_runtime(dataset, predicate, context, counters)
+        restored = self._install_runtime(
+            dataset, predicate, context, counters, between
+        )
         self._arm_merge_backend(len(dataset))
         config = resolve_bitmap_filter(self.bitmap_filter)
         if config is not None:
@@ -206,11 +227,17 @@ class SetJoinAlgorithm(ABC):
     # ------------------------------------------------------------------
 
     def _install_runtime(
-        self, dataset: Dataset, predicate, context, counters: CostCounters
+        self,
+        dataset: Dataset,
+        predicate,
+        context,
+        counters: CostCounters,
+        between: int | None = None,
     ) -> list[MatchPair]:
         """Arm the per-run driver state; returns pairs restored from a
         checkpoint (empty when starting fresh)."""
         self._context = context
+        self._between = between
         self._checkpointer = None
         self._checkpoint_meta = None
         self._resume_position = -1
@@ -220,8 +247,11 @@ class SetJoinAlgorithm(ABC):
         from repro.runtime.checkpoint import dataset_fingerprint
 
         checkpointer = context.checkpointer
+        # An R–S run over the same concatenation is a different join per
+        # split point, so the split is part of the invocation identity.
+        algorithm = self.name if between is None else f"{self.name}/between@{between}"
         meta = {
-            "algorithm": self.name,
+            "algorithm": algorithm,
             "predicate": predicate.name,
             "fingerprint": dataset_fingerprint(dataset),
             "n_records": len(dataset),
@@ -239,6 +269,7 @@ class SetJoinAlgorithm(ABC):
 
     def _uninstall_runtime(self) -> None:
         self._context = None
+        self._between = None
         self._checkpointer = None
         self._checkpoint_meta = None
         self._resume_position = -1
@@ -350,7 +381,8 @@ class SetJoinAlgorithm(ABC):
 
         The mapped index is write-once, so only algorithms with a
         separate full build pass can use it; overriders (Probe-Count's
-        two-pass variants) return True for ``"mmap"``.
+        two-pass variants) return True for ``"mmap"`` and
+        ``"mmap-varbyte"``.
         """
         return False
 
@@ -362,8 +394,9 @@ class SetJoinAlgorithm(ABC):
             raise ValueError(
                 f"algorithm {self.name!r} does not support"
                 f" index_backend={backend!r}: the write-once mapped index"
-                " needs a two-pass build (use probe-count,"
-                " probe-count-optmerge, or probe-count-stopwords)"
+                " (mmap or mmap-varbyte) needs a two-pass build (use"
+                " probe-count, probe-count-optmerge, or"
+                " probe-count-stopwords)"
             )
 
     # ------------------------------------------------------------------
@@ -467,15 +500,13 @@ class SetJoinAlgorithm(ABC):
         (both in their own dataset's numbering; ``rid_a < rid_b`` is not
         enforced here since the id spaces differ).
 
-        ``context`` enables deadline/cancellation/memory checks per
-        probed record; checkpoint/resume is not supported here.
+        Runs through the same driver as :meth:`join` over the
+        concatenation ``left + right`` (see :meth:`_between_runner`), so
+        the merge, index and bitmap knobs and the runtime checks of
+        ``context`` apply. Only cross pairs are returned — also when a
+        memory-budget trip degrades the run to ClusterMem.
         """
-        from repro.storage.mmap_index import resolve_index_backend
-
-        if resolve_index_backend(self.index_backend) != "memory":
-            raise ValueError(
-                "join_between does not support a mapped index backend"
-            )
+        self._check_index_backend()
         if left.vocabulary is not None and left.vocabulary is not right.vocabulary:
             raise ValueError(
                 "join_between needs both datasets built over the same vocabulary"
@@ -489,63 +520,32 @@ class SetJoinAlgorithm(ABC):
             vocabulary=left.vocabulary,
             payloads=combined_payloads,
         )
-        bound = predicate.bind(combined)
-        counters = CostCounters()
-        self._context = context
-        self._arm_merge_backend(len(combined))
-        if context is not None:
-            context.start()
-        start = time.perf_counter()
-        try:
-            offset = len(left)
-            index = ScoredInvertedIndex()
-            for rid in range(offset, len(combined)):
-                self._tick(counters)
-                index.insert(
-                    rid,
-                    combined[rid],
-                    bound.cached_score_vector(rid),
-                    bound.norm(rid),
-                    counters,
-                )
-            band = bound.band_filter()
-            pairs: list[MatchPair] = []
-            for rid in range(len(left)):
-                self._tick(counters)
-                counters.probes += 1
-                lists = index.probe_lists(combined[rid], bound.cached_score_vector(rid))
-                if not lists:
-                    continue
-                norm_r = bound.norm(rid)
-                index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = None
-                if band is not None:
-                    accept = _band_accept(band, rid)
-                candidates = self._merge_opt_lists(
-                    lists,
-                    index_threshold,
-                    lambda sid, _n=norm_r, _b=bound: _b.threshold(_n, _b.norm(sid)),
-                    counters,
-                    accept=accept,
-                )
-                for sid, _weight in candidates:
-                    counters.pairs_verified += 1
-                    ok, similarity = bound.verify(rid, sid)
-                    if ok:
-                        pairs.append(MatchPair(rid, sid - offset, similarity))
-        finally:
-            self._context = None
-            self._merge_mode = None
-            self._accumulator = None
-        elapsed = time.perf_counter() - start
-        counters.pairs_output = len(pairs)
-        return JoinResult(
-            pairs=pairs,
-            algorithm=f"{self.name}/between",
-            predicate=predicate.name,
-            counters=counters,
-            elapsed_seconds=elapsed,
-        )
+        offset = len(left)
+        runner = self._between_runner()
+        result = runner._execute(combined, predicate, context, between=offset)
+        result.pairs = [
+            MatchPair(pair.rid_a, pair.rid_b - offset, pair.similarity)
+            for pair in result.pairs
+            if pair.rid_a < offset <= pair.rid_b
+        ]
+        result.counters.pairs_output = len(result.pairs)
+        result.algorithm = f"{self.name}/between"
+        return result
+
+    def _between_runner(self) -> "SetJoinAlgorithm":
+        """The algorithm that runs this instance's R–S join.
+
+        Only Probe-Count's two-pass variants read :attr:`_between` (they
+        return themselves). Every other algorithm hands its R–S join to
+        a MergeOpt two-pass run with the same bitmap and merge knobs,
+        which indexes only the right side and keeps score weights.
+        """
+        from repro.core.probe_count import ProbeCountJoin
+
+        runner = ProbeCountJoin("optmerge")
+        runner.bitmap_filter = self.bitmap_filter
+        runner.merge_backend = self.merge_backend
+        return runner
 
 
 def _band_accept(band, rid):

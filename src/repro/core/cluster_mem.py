@@ -77,6 +77,9 @@ class ClusterMemJoin(SetJoinAlgorithm):
 
     Args:
         budget: the index memory budget ``M``.
+        memory_fraction: instead of ``budget``, ``M`` as a fraction of
+            the full index size, resolved against each joined dataset
+            (:meth:`MemoryBudget.fraction_of_full`).
         sort: pre-sort records by decreasing norm (Algorithm 2's optional
             external sort).
         home_similarity: similarity threshold for opening a new cluster
@@ -94,13 +97,19 @@ class ClusterMemJoin(SetJoinAlgorithm):
 
     def __init__(
         self,
-        budget: MemoryBudget,
+        budget: MemoryBudget | None = None,
         sort: bool = True,
         home_similarity: float = 0.5,
         initial_threshold_fraction: float = 0.2,
         workdir: str | None = None,
+        memory_fraction: float | None = None,
     ):
+        if (budget is None) == (memory_fraction is None):
+            raise ValueError(
+                "cluster-mem needs exactly one of budget= or memory_fraction="
+            )
         self.budget = budget
+        self.memory_fraction = memory_fraction
         self.sort = sort
         self.home_similarity = home_similarity
         self.initial_threshold_fraction = initial_threshold_fraction
@@ -111,6 +120,8 @@ class ClusterMemJoin(SetJoinAlgorithm):
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
+        if self.memory_fraction is not None:
+            self.budget = MemoryBudget.fraction_of_full(dataset, self.memory_fraction)
         owns_workdir = self.workdir is None
         workdir = self.workdir or tempfile.mkdtemp(prefix="repro-clustermem-")
         try:

@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from repro.approx.join import ApproxJoin
 from repro.core.accumulator import resolve_merge_backend
 from repro.storage.mmap_index import resolve_index_backend
-from repro.core.cluster_mem import ClusterMemJoin, MemoryBudget
+from repro.core.cluster_mem import ClusterMemJoin
 from repro.core.naive import NaiveJoin
 from repro.core.pair_count import PairCountJoin
 from repro.core.positional_filter import PositionalFilterJoin
@@ -22,7 +22,7 @@ from repro.core.prefix_filter import PrefixFilterJoin
 from repro.core.probe_cluster import ProbeClusterJoin
 from repro.core.probe_count import ProbeCountJoin
 from repro.core.records import Dataset
-from repro.core.results import JoinResult
+from repro.core.results import JoinResult, MatchPair
 from repro.core.word_groups import WordGroupsJoin
 from repro.predicates.base import SimilarityPredicate
 from repro.predicates.edit_distance import EditDistancePredicate, qgram_dataset
@@ -77,69 +77,34 @@ def make_algorithm(name: str, **kwargs):
     registry — accepts it uniformly. ``merge_backend=`` selects the
     probe-merge engine the same way (``"heap"``, ``"accumulator"``, or
     the adaptive default ``"auto"`` — see :mod:`repro.core.accumulator`).
-    ``index_backend=`` picks where the probe index lives (``"memory"``
-    or the zero-copy ``"mmap"`` columnar file of
-    :mod:`repro.storage.mmap_index`; ``index_path=`` pins the file
-    location instead of a temp file). Like the other knobs it is an
+    ``index_backend=`` picks where the probe index lives (``"memory"``,
+    the zero-copy ``"mmap"`` columnar file of
+    :mod:`repro.storage.mmap_index`, or ``"mmap-varbyte"``, the same
+    file with varbyte-compressed id blocks; ``index_path=`` pins the
+    file location instead of a temp file). Like the other knobs it is an
     instance attribute, so it flows through ``similarity_join`` and the
     parallel workers unchanged; algorithms without a two-pass build
     raise a clear error at ``join()`` time.
     """
-    bitmap_filter = kwargs.pop("bitmap_filter", None)
-    merge_backend = resolve_merge_backend(kwargs.pop("merge_backend", None))
-    index_backend = resolve_index_backend(kwargs.pop("index_backend", None))
-    index_path = kwargs.pop("index_path", None)
+    knobs = {
+        "bitmap_filter": kwargs.pop("bitmap_filter", None),
+        "merge_backend": resolve_merge_backend(kwargs.pop("merge_backend", None)),
+        "index_backend": resolve_index_backend(kwargs.pop("index_backend", None)),
+        "index_path": kwargs.pop("index_path", None),
+    }
     if name == "cluster-mem":
-        budget = kwargs.pop("budget", None)
-        fraction = kwargs.pop("memory_fraction", None)
-        if budget is None and fraction is None:
-            raise ValueError("cluster-mem needs budget= or memory_fraction=")
-        if budget is None:
-
-            class _Deferred:
-                """Budget resolved against the dataset at join time."""
-
-                name = "cluster-mem"
-                respects_memory_budget = True
-                bitmap_filter = None
-                merge_backend = "auto"
-                index_backend = "memory"
-                index_path = None
-
-                def join(self, dataset, predicate, context=None):
-                    resolved = ClusterMemJoin(
-                        MemoryBudget.fraction_of_full(dataset, fraction), **kwargs
-                    )
-                    resolved.bitmap_filter = self.bitmap_filter
-                    resolved.merge_backend = self.merge_backend
-                    resolved.index_backend = self.index_backend
-                    resolved.index_path = self.index_path
-                    return resolved.join(dataset, predicate, context=context)
-
-            deferred = _Deferred()
-            deferred.bitmap_filter = bitmap_filter
-            deferred.merge_backend = merge_backend
-            deferred.index_backend = index_backend
-            deferred.index_path = index_path
-            return deferred
-        algorithm = ClusterMemJoin(budget, **kwargs)
-        algorithm.bitmap_filter = bitmap_filter
-        algorithm.merge_backend = merge_backend
-        algorithm.index_backend = index_backend
-        algorithm.index_path = index_path
-        return algorithm
-    spec = _SPECS.get(name)
-    if spec is None:
-        raise ValueError(
-            f"unknown algorithm {name!r}; expected one of"
-            f" {sorted(_SPECS) + ['cluster-mem']}"
-        )
-    cls, base = spec
-    algorithm = cls(**{**base, **kwargs})
-    algorithm.bitmap_filter = bitmap_filter
-    algorithm.merge_backend = merge_backend
-    algorithm.index_backend = index_backend
-    algorithm.index_path = index_path
+        algorithm = ClusterMemJoin(**kwargs)
+    else:
+        spec = _SPECS.get(name)
+        if spec is None:
+            raise ValueError(
+                f"unknown algorithm {name!r}; expected one of"
+                f" {sorted(_SPECS) + ['cluster-mem']}"
+            )
+        cls, base = spec
+        algorithm = cls(**{**base, **kwargs})
+    for attr, value in knobs.items():
+        setattr(algorithm, attr, value)
     return algorithm
 
 
@@ -184,6 +149,31 @@ def similarity_join(
     return make_algorithm(algorithm, **kwargs).join(dataset, predicate, context=context)
 
 
+def _verify_short_pairs(result: JoinResult, bound, rids: list[int]) -> JoinResult:
+    """Brute-force-verify every pair among ``rids`` the join missed.
+
+    Index joins only surface pairs that share a token; predicates that
+    can match disjoint records (Hamming over tiny sets, edit distance
+    over strings shorter than the q-gram bound) finish with this pass
+    over the records where that can happen.
+    """
+    if not rids:
+        return result
+    seen = result.pair_set()
+    for i, rid_a in enumerate(rids):
+        for rid_b in rids[i + 1 :]:
+            key = (min(rid_a, rid_b), max(rid_a, rid_b))
+            if key in seen:
+                continue
+            result.counters.pairs_verified += 1
+            ok, distance = bound.verify(key[0], key[1])
+            if ok:
+                seen.add(key)
+                result.pairs.append(MatchPair(key[0], key[1], distance))
+    result.counters.pairs_output = len(result.pairs)
+    return result
+
+
 def hamming_join(
     dataset: Dataset,
     k: int,
@@ -198,7 +188,6 @@ def hamming_join(
     verified among records of size <= k, keeping the join exact for any
     ``k``.
     """
-    from repro.core.results import MatchPair
     from repro.predicates.hamming import HammingPredicate
 
     predicate = HammingPredicate(k)
@@ -206,21 +195,9 @@ def hamming_join(
         dataset, predicate, algorithm=algorithm, context=context, **kwargs
     )
     small = [rid for rid in range(len(dataset)) if len(dataset[rid]) <= k]
-    if small:
-        bound = predicate.bind(dataset)
-        seen = result.pair_set()
-        for i, rid_a in enumerate(small):
-            for rid_b in small[i + 1 :]:
-                key = (min(rid_a, rid_b), max(rid_a, rid_b))
-                if key in seen:
-                    continue
-                result.counters.pairs_verified += 1
-                ok, distance = bound.verify(key[0], key[1])
-                if ok:
-                    seen.add(key)
-                    result.pairs.append(MatchPair(key[0], key[1], distance))
-        result.counters.pairs_output = len(result.pairs)
-    return result
+    if not small:
+        return result
+    return _verify_short_pairs(result, predicate.bind(dataset), small)
 
 
 def edit_distance_join(
@@ -251,19 +228,4 @@ def edit_distance_join(
         for rid in range(len(dataset))
         if bound.string_length(rid) <= cutoff
     ]
-    if short:
-        seen = result.pair_set()
-        from repro.core.results import MatchPair
-
-        for i, rid_a in enumerate(short):
-            for rid_b in short[i + 1 :]:
-                key = (min(rid_a, rid_b), max(rid_a, rid_b))
-                if key in seen:
-                    continue
-                result.counters.pairs_verified += 1
-                ok, distance = bound.verify(key[0], key[1])
-                if ok:
-                    seen.add(key)
-                    result.pairs.append(MatchPair(key[0], key[1], distance))
-        result.counters.pairs_output = len(result.pairs)
-    return result
+    return _verify_short_pairs(result, bound, short)

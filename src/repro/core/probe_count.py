@@ -34,6 +34,8 @@ from repro.utils.counters import CostCounters
 __all__ = ["ProbeCountJoin", "VARIANTS"]
 
 VARIANTS = ("basic", "stopwords", "optmerge", "online", "sort")
+#: Variants with a separate full build pass (index first, then probe).
+_TWO_PASS = ("basic", "stopwords", "optmerge")
 
 
 class ProbeCountJoin(SetJoinAlgorithm):
@@ -61,20 +63,19 @@ class ProbeCountJoin(SetJoinAlgorithm):
     def _run(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        if self.variant in ("online", "sort"):
-            return self._run_online(dataset, bound, counters)
-        if self.variant == "stopwords":
-            return self._run_stopwords(dataset, bound, counters)
-        return self._run_two_pass(dataset, bound, counters)
+        if self.variant in _TWO_PASS:
+            return self._run_two_pass(dataset, bound, counters)
+        return self._run_online(dataset, bound, counters)
 
     def _supports_index_backend(self, backend: str) -> bool:
         # online/sort insert as they go; the write-once mapped file
         # needs the full build pass the two-pass variants have.
-        return backend == "mmap" and self.variant in (
-            "basic",
-            "optmerge",
-            "stopwords",
-        )
+        return backend in ("mmap", "mmap-varbyte") and self.variant in _TWO_PASS
+
+    def _between_runner(self) -> SetJoinAlgorithm:
+        if self.variant in _TWO_PASS:
+            return self
+        return super()._between_runner()
 
     def _build_full_index(
         self,
@@ -82,23 +83,28 @@ class ProbeCountJoin(SetJoinAlgorithm):
         bound: BoundPredicate,
         counters: CostCounters,
         keep=None,
+        lo: int = 0,
     ):
-        """One full build pass; returns ``(index, dispose)``.
+        """One full build pass over records ``[lo, n)``; returns
+        ``(index, dispose)``.
 
         ``keep`` optionally filters each record's ``(tokens, scores)``
         before insertion (the stopwords variant). Under
-        ``index_backend="mmap"`` the pass lands in a write-once columnar
-        file probed zero-copy through the mapping — build inserts are
+        ``index_backend="mmap"`` (or ``"mmap-varbyte"``, which
+        gap-compresses the id columns) the pass lands in a write-once
+        columnar file probed through the mapping — build inserts are
         not charged to the memory budget (the data leaves RAM); the
         opened index charges its directory plus each posting list on
         first touch instead. ``dispose`` must run when probing is done
         (closes the mapping and removes a temp file).
         """
-        if self.index_backend == "mmap":
+        if self.index_backend in ("mmap", "mmap-varbyte"):
             from repro.storage.mmap_index import JoinIndexBuilder
 
-            builder = JoinIndexBuilder(self.index_path)
-            for rid in range(len(dataset)):
+            builder = JoinIndexBuilder(
+                self.index_path, compressed=self.index_backend == "mmap-varbyte"
+            )
+            for rid in range(lo, len(dataset)):
                 self._tick(counters)
                 tokens = dataset[rid]
                 scores = bound.cached_score_vector(rid)
@@ -108,7 +114,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
             index = builder.finish(counters)
             return index, index.dispose
         index = ScoredInvertedIndex()
-        for rid in range(len(dataset)):
+        for rid in range(lo, len(dataset)):
             self._tick(counters)
             tokens = dataset[rid]
             scores = bound.cached_score_vector(rid)
@@ -121,28 +127,55 @@ class ProbeCountJoin(SetJoinAlgorithm):
         return index, _noop_dispose
 
     # ------------------------------------------------------------------
-    # Two-pass variants: basic / optmerge
+    # Two-pass variants: basic / optmerge / stopwords (§2.1, §3.1)
     # ------------------------------------------------------------------
 
     def _run_two_pass(
         self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
     ) -> list[MatchPair]:
-        index, dispose = self._build_full_index(dataset, bound, counters)
+        """Build the full index, then probe it once per record.
+
+        A self-join indexes and probes every record and emits each pair
+        once, as ``sid < rid``. An R–S run (``_between`` set by
+        ``join_between``) indexes the right side ``[_between, n)``,
+        probes with the left side ``[0, _between)``, and emits every
+        verified candidate as ``(rid, sid)``.
+        """
+        between = self._between
+        index_lo = 0 if between is None else between
+        probe_hi = len(dataset) if between is None else between
+        stopwords = None
+        keep = None
+        if self.variant == "stopwords":
+            stopwords = self._select_stopwords(dataset, bound)
+            counters.extra["stopwords"] = len(stopwords)
+
+            def keep(tokens, scores):
+                return _split_stopwords(tokens, scores, stopwords)[:2]
+
+        index, dispose = self._build_full_index(
+            dataset, bound, counters, keep=keep, lo=index_lo
+        )
         try:
             band = bound.band_filter()
             pairs: list[MatchPair] = []
             use_optmerge = self.variant == "optmerge"
             for _position, rid, replay in self._drive(
-                range(len(dataset)), counters, pairs
+                range(probe_hi), counters, pairs
             ):
                 if replay:
                     continue
                 counters.probes += 1
-                lists = index.probe_lists(dataset[rid], bound.cached_score_vector(rid))
+                tokens = dataset[rid]
+                scores = bound.cached_score_vector(rid)
+                cut = 0.0
+                if stopwords is not None:
+                    tokens, scores, cut = _split_stopwords(tokens, scores, stopwords)
+                lists = index.probe_lists(tokens, scores)
                 if not lists:
                     continue
                 norm_r = bound.norm(rid)
-                threshold_of = _threshold_closure(bound, norm_r)
+                threshold_of = _threshold_closure(bound, norm_r, cut)
                 accept = _band_accept(band, rid) if band is not None else None
                 if use_optmerge:
                     index_threshold = bound.index_threshold(norm_r, index.min_norm)
@@ -151,68 +184,13 @@ class ProbeCountJoin(SetJoinAlgorithm):
                     )
                 else:
                     candidates = self._merge_lists(lists, threshold_of, counters, accept)
+                if between is not None:
+                    for sid, _weight in candidates:
+                        self._verify_pair(bound, rid, sid, counters, pairs)
+                    continue
                 for sid, _weight in candidates:
                     # The full index contains rid itself and yields each pair
                     # twice; emit once, in canonical orientation.
-                    if sid < rid:
-                        self._verify_pair(bound, sid, rid, counters, pairs)
-            return pairs
-        finally:
-            dispose()
-
-    # ------------------------------------------------------------------
-    # Stopwords variant (§3.1)
-    # ------------------------------------------------------------------
-
-    def _run_stopwords(
-        self, dataset: Dataset, bound: BoundPredicate, counters: CostCounters
-    ) -> list[MatchPair]:
-        stopwords = self._select_stopwords(dataset, bound)
-        counters.extra["stopwords"] = len(stopwords)
-
-        def keep(tokens, scores):
-            kept_tokens = []
-            kept_scores = []
-            for token, score in zip(tokens, scores):
-                if token not in stopwords:
-                    kept_tokens.append(token)
-                    kept_scores.append(score)
-            return kept_tokens, kept_scores
-
-        index, dispose = self._build_full_index(dataset, bound, counters, keep=keep)
-        try:
-            band = bound.band_filter()
-            pairs: list[MatchPair] = []
-            for _position, rid, replay in self._drive(
-                range(len(dataset)), counters, pairs
-            ):
-                if replay:
-                    continue
-                counters.probes += 1
-                tokens = dataset[rid]
-                scores = bound.cached_score_vector(rid)
-                probe_tokens = []
-                probe_scores = []
-                stop_contribution = 0.0
-                for token, score in zip(tokens, scores):
-                    if token in stopwords:
-                        # Assume, pessimistically, that the partner record
-                        # shares the stopword at the maximum indexed score.
-                        stop_contribution += score * stopwords[token]
-                    else:
-                        probe_tokens.append(token)
-                        probe_scores.append(score)
-                lists = index.probe_lists(probe_tokens, probe_scores)
-                if not lists:
-                    continue
-                norm_r = bound.norm(rid)
-
-                def threshold_of(sid: int, _n=norm_r, _cut=stop_contribution) -> float:
-                    return bound.threshold(_n, bound.norm(sid)) - _cut
-
-                accept = _band_accept(band, rid) if band is not None else None
-                candidates = self._merge_lists(lists, threshold_of, counters, accept)
-                for sid, _weight in candidates:
                     if sid < rid:
                         self._verify_pair(bound, sid, rid, counters, pairs)
             return pairs
@@ -312,10 +290,35 @@ def _noop_dispose() -> None:
     """Nothing to release for the in-memory index."""
 
 
-def _threshold_closure(bound: BoundPredicate, norm_r: float):
-    """entity id -> T(r, s), capturing the probe record's norm."""
+def _threshold_closure(bound: BoundPredicate, norm_r: float, cut: float = 0.0):
+    """entity id -> T(r, s) - cut, capturing the probe record's norm."""
+    if cut:
+
+        def cut_threshold_of(sid: int) -> float:
+            return bound.threshold(norm_r, bound.norm(sid)) - cut
+
+        return cut_threshold_of
 
     def threshold_of(sid: int) -> float:
         return bound.threshold(norm_r, bound.norm(sid))
 
     return threshold_of
+
+
+def _split_stopwords(tokens, scores, stopwords: dict[int, float]):
+    """Drop stopwords from a probe; returns ``(tokens, scores, cut)``.
+
+    ``cut`` assumes, pessimistically, that the partner record shares
+    each dropped stopword at its maximum indexed score, so lowering the
+    pair threshold by it keeps the stopwords join exact (§3.1).
+    """
+    probe_tokens = []
+    probe_scores = []
+    cut = 0.0
+    for token, score in zip(tokens, scores):
+        if token in stopwords:
+            cut += score * stopwords[token]
+        else:
+            probe_tokens.append(token)
+            probe_scores.append(score)
+    return probe_tokens, probe_scores, cut

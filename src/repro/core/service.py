@@ -831,7 +831,7 @@ class SimilarityIndex:
         vocab_by_id = [None] * len(self._vocabulary)
         for token, token_id in self._vocabulary.items():
             vocab_by_id[token_id] = token
-        writer = MappedIndexWriter(path, scored=True, compressed=False)
+        writer = MappedIndexWriter(path, compressed=False)
         try:
             for token, id_column in token_ids.items():
                 writer.add_posting(token, id_column, token_scores[token])

@@ -64,7 +64,6 @@ import sys
 import tempfile
 from array import array
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 from zlib import crc32
 
 from repro.compression.postings import CompressedPostingList
@@ -96,8 +95,10 @@ _FLAG_BIG_ENDIAN = 4
 
 _BLOCK_SIZE = 64
 
-#: Valid values of the ``index_backend`` knob.
-INDEX_BACKENDS = ("memory", "mmap")
+#: Valid values of the ``index_backend`` knob: the in-RAM index, the
+#: mapped file with raw ``int64`` id columns, and the mapped file with
+#: varbyte-gap-compressed id blocks.
+INDEX_BACKENDS = ("memory", "mmap", "mmap-varbyte")
 
 
 def resolve_index_backend(value) -> str:
@@ -130,17 +131,13 @@ class MappedIndexWriter:
 
     Args:
         path: final file location.
-        scored: store a ``float64`` score column per token. Unit-score
-            indexes (``DiskInvertedIndex``) omit it; readers synthesize
-            constant 1.0 scores.
         compressed: varbyte gap-compress the id column into skip blocks
             instead of a raw ``int64`` column — smaller file, lazy
             per-block decode on read instead of zero-copy.
     """
 
-    def __init__(self, path: str, *, scored: bool = True, compressed: bool = False):
+    def __init__(self, path: str, *, compressed: bool = False):
         self.path = path
-        self.scored = scored
         self.compressed = compressed
         self._tmp_path = f"{path}.tmp.{os.getpid()}"
         self._handle = open(self._tmp_path, "wb")
@@ -162,7 +159,7 @@ class MappedIndexWriter:
         self,
         token: int,
         ids: Sequence[int],
-        scores: Sequence[float] | None = None,
+        scores: Sequence[float],
         max_score: float | None = None,
     ) -> None:
         """Write one token's posting columns (ids strictly increasing)."""
@@ -171,24 +168,18 @@ class MappedIndexWriter:
         count = len(ids)
         if count == 0:
             return
-        if self.scored:
-            if scores is None:
-                raise ValueError("scored writer needs a score column")
-            score_column = scores if isinstance(scores, array) else array("d", scores)
-            if max_score is None:
-                max_score = max(score_column)
-        else:
-            score_column = None
-            max_score = 1.0
+        if scores is None or len(scores) != count:
+            raise ValueError("add_posting needs one score per id")
+        score_column = scores if isinstance(scores, array) else array("d", scores)
+        if max_score is None:
+            max_score = max(score_column)
         payload_length = 0
         if self.compressed:
             # Reuse the exact skip-block construction of the in-memory
             # compressed lists; its block directory becomes two more
             # mapped int64 columns.
             clist = CompressedPostingList(ids, block_size=_BLOCK_SIZE)
-            region = bytearray()
-            if score_column is not None:
-                region += score_column.tobytes()
+            region = bytearray(score_column.tobytes())
             region += array("q", clist._block_first).tobytes()
             region += array("q", clist._block_offset).tobytes()
             payload_length = len(clist._data)
@@ -201,8 +192,7 @@ class MappedIndexWriter:
                     raise ValueError("posting ids must be strictly increasing")
                 previous = entity_id
             region = bytearray(id_column.tobytes())
-            if score_column is not None:
-                region += score_column.tobytes()
+            region += score_column.tobytes()
         offset = self._handle.tell()
         self._handle.write(region)
         self._handle.write(bytes(_pad8(len(region))))
@@ -242,7 +232,6 @@ class MappedIndexWriter:
             raise ValueError("writer is finished")
         directory = {
             "format": _FORMAT_VERSION,
-            "scored": self.scored,
             "compressed": self.compressed,
             "block_size": _BLOCK_SIZE,
             "min_norm": None if math.isinf(min_norm) else min_norm,
@@ -261,11 +250,9 @@ class MappedIndexWriter:
         encoded = json.dumps(directory, separators=(",", ":")).encode("utf-8")
         directory_offset = self._handle.tell()
         self._handle.write(encoded)
-        flags = 0
+        flags = _FLAG_SCORED
         if self.compressed:
             flags |= _FLAG_COMPRESSED
-        if self.scored:
-            flags |= _FLAG_SCORED
         if sys.byteorder == "big":
             flags |= _FLAG_BIG_ENDIAN
         self._handle.seek(0)
@@ -305,28 +292,6 @@ class MappedIndexWriter:
 # ----------------------------------------------------------------------
 # Zero-copy posting views
 # ----------------------------------------------------------------------
-
-
-class _ConstScores:
-    """Constant-1.0 score column for unit-score indexes (no storage)."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> float:
-        if isinstance(i, slice):
-            return [1.0] * len(range(*i.indices(self._n)))
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return 1.0
-
-    def __iter__(self):
-        return repeat(1.0, self._n)
 
 
 class _BlockedIds:
@@ -462,7 +427,6 @@ class MappedInvertedIndex:
         self._touched: bytearray = bytearray()
         self._verified_sections: set[str] = set()
         self.meta: dict = {}
-        self.scored = True
         self.compressed = False
         self._counters: CostCounters | None = None
         self._owns_path = False
@@ -534,8 +498,13 @@ class MappedInvertedIndex:
                 f" {'big' if file_big_endian else 'little'}-endian, this"
                 f" machine is {sys.byteorder}-endian",
             )
+        if not flags & _FLAG_SCORED:
+            raise _corrupt(
+                path,
+                "unscored index file (no score column) is no longer"
+                " readable; rebuild the index with this version",
+            )
         self.compressed = bool(flags & _FLAG_COMPRESSED)
-        self.scored = bool(flags & _FLAG_SCORED)
         if dir_off < _PREAMBLE_SIZE or dir_off + dir_len > size:
             raise _corrupt(
                 path,
@@ -569,7 +538,7 @@ class MappedInvertedIndex:
         n = len(tokens)
         if any(len(column) != n for column in (offsets, lengths, counts, crcs)):
             raise _corrupt(path, "directory posting columns disagree in length")
-        if self.scored and len(max_scores) != n:
+        if len(max_scores) != n:
             raise _corrupt(path, "directory max_scores column disagrees in length")
         if self.compressed and (
             not isinstance(payload_lengths, list) or len(payload_lengths) != n
@@ -671,20 +640,13 @@ class MappedInvertedIndex:
                 self._counters.index_entries += count
         self.lists_read += 1
         self.bytes_read += length
-        max_score = self._max_scores[i] if self.scored else 1.0
+        max_score = self._max_scores[i]
         if not self.compressed:
             ids = view[offset : offset + 8 * count].cast("q")
-            if self.scored:
-                scores = view[offset + 8 * count : offset + 16 * count].cast("d")
-            else:
-                scores = _ConstScores(count)
+            scores = view[offset + 8 * count : offset + 16 * count].cast("d")
             return MappedPostingList(ids, scores, max_score)
-        cursor = offset
-        if self.scored:
-            scores = view[cursor : cursor + 8 * count].cast("d")
-            cursor += 8 * count
-        else:
-            scores = _ConstScores(count)
+        scores = view[offset : offset + 8 * count].cast("d")
+        cursor = offset + 8 * count
         n_blocks = (count + _BLOCK_SIZE - 1) // _BLOCK_SIZE
         firsts = view[cursor : cursor + 8 * n_blocks].cast("q")
         cursor += 8 * n_blocks
@@ -834,7 +796,7 @@ class JoinIndexBuilder:
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro-mmapindex-", suffix=".rpmx")
             os.close(fd)
-        writer = MappedIndexWriter(path, scored=True, compressed=self._compressed)
+        writer = MappedIndexWriter(path, compressed=self._compressed)
         try:
             for token, id_column in self._ids.items():
                 writer.add_posting(token, id_column, self._scores[token])

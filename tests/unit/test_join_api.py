@@ -81,6 +81,19 @@ class TestDispatch:
         )
         assert result.pair_set() == {(0, 1)}
 
+    def test_cluster_mem_fraction_is_a_real_instance(self, data):
+        from repro import ClusterMemJoin
+
+        algorithm = make_algorithm(
+            "cluster-mem", memory_fraction=0.5, merge_backend="heap"
+        )
+        assert isinstance(algorithm, ClusterMemJoin)
+        assert algorithm.merge_backend == "heap"
+        algorithm.join(data, OverlapPredicate(3))
+        assert algorithm.budget.max_index_entries == max(
+            1, int(data.total_word_occurrences() * 0.5)
+        )
+
     def test_kwargs_forwarded(self, data):
         algorithm = make_algorithm("probe-count-optmerge", variant="online")
         assert algorithm.variant == "online"

@@ -41,7 +41,7 @@ POSTINGS = {
 
 
 def write_index(path, *, compressed=False, sections=(), meta=None):
-    writer = MappedIndexWriter(str(path), scored=True, compressed=compressed)
+    writer = MappedIndexWriter(str(path), compressed=compressed)
     for token, (ids, scores) in POSTINGS.items():
         writer.add_posting(token, ids, scores)
     for name, blob in sections:
@@ -93,16 +93,6 @@ class TestRoundtrip:
             assert [list(plist.ids) for plist, _ in lists] == [[0, 2, 5, 9]]
             assert [score for _, score in lists] == [1.0]
 
-    def test_unit_score_index_synthesizes_scores(self, tmp_path):
-        writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"), scored=False)
-        writer.add_posting(5, [1, 4, 6])
-        writer.finish()
-        with MappedInvertedIndex.open(str(tmp_path / "ix.rpmx")) as index:
-            plist = index.get(5)
-            assert list(plist.scores) == [1.0, 1.0, 1.0]
-            assert plist.scores[-1] == 1.0
-            assert plist.max_score == 1.0
-
     def test_sections_roundtrip(self, tmp_path):
         path = write_index(
             tmp_path / "ix.rpmx", sections=[("blob", b"hello world")]
@@ -137,8 +127,8 @@ class TestWriter:
 
     def test_scored_writer_needs_scores(self, tmp_path):
         writer = MappedIndexWriter(str(tmp_path / "ix.rpmx"))
-        with pytest.raises(ValueError, match="score column"):
-            writer.add_posting(1, [1, 2])
+        with pytest.raises(ValueError, match="one score per id"):
+            writer.add_posting(1, [1, 2], [1.0])
         writer.abort()
 
     def test_duplicate_section_rejected(self, tmp_path):
@@ -229,6 +219,19 @@ class TestCorruption:
         with pytest.raises(SnapshotCorrupted, match="byte-order"):
             MappedInvertedIndex.open(path)
         assert sys.byteorder == "little" or True
+
+    def test_unscored_file_refused(self, tmp_path):
+        # Files without a score column are no longer written; an old one
+        # is refused with the typed error instead of read with made-up
+        # unit scores.
+        path = write_index(tmp_path / "ix.rpmx")
+        with open(path, "r+b") as handle:
+            handle.seek(8)
+            flags = handle.read(1)[0]
+            handle.seek(8)
+            handle.write(bytes([flags & ~2]))  # clear _FLAG_SCORED
+        with pytest.raises(SnapshotCorrupted, match="unscored"):
+            MappedInvertedIndex.open(path)
 
     def test_mangled_header_directory_crc(self, tmp_path):
         path = write_index(tmp_path / "ix.rpmx")
@@ -419,12 +422,6 @@ class TestIndexBackendKnob:
         algo = make_algorithm(algorithm, index_backend="mmap")
         with pytest.raises(ValueError, match="does not support index_backend"):
             algo.join(data, OverlapPredicate(1))
-
-    def test_join_between_rejects_mmap(self):
-        data = Dataset([(0, 1), (1, 2)])
-        algo = make_algorithm("probe-count-optmerge", index_backend="mmap")
-        with pytest.raises(ValueError, match="join_between"):
-            algo.join_between(data, data, OverlapPredicate(1))
 
     def test_index_path_pins_the_file(self, tmp_path):
         data = random_dataset(seed=42, n_base=20)
@@ -663,7 +660,7 @@ class TestMappedService:
         for i in range(len(fat_scores)):
             fat_scores[i] = 1.0
         with MappedInvertedIndex.open(seed_path) as seed:
-            writer = MappedIndexWriter(big_path, scored=True, compressed=False)
+            writer = MappedIndexWriter(big_path, compressed=False)
             for token in seed.tokens():
                 plist = seed.get(token)
                 writer.add_posting(
