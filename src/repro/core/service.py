@@ -29,6 +29,7 @@ from repro.filters.adapters import adapter_for
 from repro.filters.bitmap import SignatureStore, resolve_bitmap_filter
 from repro.filters.controller import AdaptiveController, NullController
 from repro.predicates.base import WEIGHT_EPS, SimilarityPredicate
+from repro.predicates.edit_distance import EditDistancePredicate
 from repro.runtime.errors import (
     ConcurrentMutation,
     ReadOnlyIndex,
@@ -138,17 +139,27 @@ class _CacheOverlay:
     the shared list — concurrent queries memoize identical values, so
     those races are benign — while the probe's slot lives only in this
     overlay and dies with the query.
+
+    ``slots=0`` overlays an append-only column (the band keys): the
+    probe's entry is *appended* into the private tail, so the shared
+    list is never extended.
     """
 
-    __slots__ = ("_base", "_n", "_tail")
+    __slots__ = ("_base", "_n", "_tail", "_slots")
 
-    def __init__(self, base: list):
+    def __init__(self, base: list, slots: int = 1):
         self._base = base
         self._n = len(base)
-        self._tail = [None]
+        self._slots = slots
+        self._tail = [None] * slots
+
+    @property
+    def base(self) -> list:
+        """The shared list (read-only by convention on the query path)."""
+        return self._base
 
     def __len__(self) -> int:
-        return self._n + 1
+        return self._n + len(self._tail)
 
     def __getitem__(self, i: int):
         if i >= self._n:
@@ -161,12 +172,15 @@ class _CacheOverlay:
         else:
             self._base[i] = value
 
+    def append(self, item) -> None:
+        self._tail.append(item)
+
     def extend(self, items) -> None:
         self._tail.extend(items)
 
     def reset_tail(self) -> None:
         """Forget the probe slot (``query_batch`` clone reuse)."""
-        self._tail = [None]
+        self._tail = [None] * self._slots
 
 
 def _probe_bound(base_bound, record: tuple[int, ...], payload):
@@ -176,8 +190,10 @@ def _probe_bound(base_bound, record: tuple[int, ...], payload):
     reference (reads of indexed records stay cached across queries) but
     redirects the dataset to a :class:`_ProbeView` and the probe's cache
     slot to a private overlay, so scoring the probe mutates nothing
-    shared. Band filters are rebuilt per clone: their key tuples must
-    cover the probe rid.
+    shared. The band-key column is overlaid the same way: the write
+    path keeps the shared column covering every indexed record, so the
+    clone's band filter computes exactly one key — the probe's — into
+    its private tail.
     """
     clone = copy.copy(base_bound)
     clone.dataset = _ProbeView(base_bound.dataset, record, payload)
@@ -185,8 +201,7 @@ def _probe_bound(base_bound, record: tuple[int, ...], payload):
     clone._norms = _CacheOverlay(base_bound._norms)
     clone._score_maps = _CacheOverlay(base_bound._score_maps)
     clone._signatures = _CacheOverlay(base_bound._signatures)
-    if hasattr(clone, "_band"):
-        clone._band = None
+    clone._band_keys = _CacheOverlay(base_bound._band_keys, slots=0)
     return clone
 
 
@@ -194,17 +209,16 @@ def _retarget_probe(clone, record: tuple[int, ...], payload) -> None:
     """Reuse a :func:`_probe_bound` clone for the next batch item.
 
     Clears exactly the per-probe state the clone owns — the view's tail
-    record, the overlay tail slots, and any rebuilt band filter — and
-    nothing shared. Only sound while the base dataset length is fixed
-    (``query_batch`` holds the read lock for the whole batch).
+    record and the overlay tail slots, the probe's band key included —
+    and nothing shared. Only sound while the base dataset length is
+    fixed (``query_batch`` holds the read lock for the whole batch).
     """
     clone.dataset.retarget(record, payload)
     clone._score_vectors.reset_tail()
     clone._norms.reset_tail()
     clone._score_maps.reset_tail()
     clone._signatures.reset_tail()
-    if hasattr(clone, "_band"):
-        clone._band = None
+    clone._band_keys.reset_tail()
 
 
 class SimilarityIndex:
@@ -229,6 +243,10 @@ class SimilarityIndex:
         cosine) are rebound as the corpus grows only when ``rebind()``
         is called; for streaming use, prefer corpus-independent
         predicates or pass precomputed ``stats``.
+        :class:`~repro.predicates.EditDistancePredicate` is refused with
+        ``ValueError``: a probe only reaches records that share a token,
+        which misses short-string matches; use
+        :func:`~repro.core.join.edit_distance_join`.
 
     Concurrency:
         ``query`` never mutates shared state — the probe record is
@@ -253,6 +271,14 @@ class SimilarityIndex:
         merge_backend=None,
         vocabulary: dict[str, int] | None = None,
     ):
+        if isinstance(predicate, EditDistancePredicate):
+            # Besides short strings, the verifier reads payloads as the
+            # source strings, while service payloads are caller data.
+            raise ValueError(
+                "SimilarityIndex cannot serve edit distance exactly: pairs of"
+                " short strings can match without sharing a q-gram; use"
+                " edit_distance_join"
+            )
         self.predicate = predicate
         self.tokenizer = tokenizer
         self.merge_backend = resolve_merge_backend(merge_backend)
@@ -406,6 +432,9 @@ class SimilarityIndex:
 
     def _rebind(self) -> None:
         self._bound = self.predicate.bind(self._dataset)
+        # Fills the band-key column: the write path owns it, queries
+        # only ever overlay their probe's key.
+        self._bound.extend_to(len(self._dataset))
 
     def _rebuild_index(self) -> None:
         """Re-insert every record under the current bound's scores."""
@@ -571,6 +600,7 @@ class SimilarityIndex:
                 # through the public API). Bind locally; do not publish —
                 # the read side must stay mutation-free.
                 base_bound = self.predicate.bind(self._dataset)
+                base_bound.extend_to(probe_rid)
             bound = _probe_bound(base_bound, record, item)
             if reusable is not None:
                 reusable.append(bound)
@@ -581,9 +611,11 @@ class SimilarityIndex:
         band = bound.band_filter()
         accept = None
         if band is not None:
-            keys = band.keys
+            # The probe's key lives in the clone's overlay tail; indexed
+            # rids read the shared column directly.
+            key_r = band.keys[probe_rid]
+            keys = band.keys.base
             radius = band.radius + 1e-12
-            key_r = keys[probe_rid]
 
             def accept(sid: int) -> bool:
                 return abs(keys[sid] - key_r) <= radius
@@ -883,8 +915,9 @@ class SimilarityIndex:
         With ``mmap=True`` the file must have been written by
         ``save(format='mmap')``: it is memory-mapped instead of parsed,
         the inverted index *is* the file's posting columns (nothing is
-        rebuilt — open time is independent of index size, resident
-        memory is the directory plus whatever postings queries touch),
+        rebuilt — resident memory is the directory plus whatever
+        postings queries touch; the only per-record open work is the
+        band-key column of band-filter predicates, one key per record),
         and the mapping is shared read-only across threads and fork'd
         worker processes. Query answers are bit-identical to a snapshot
         load of the same corpus. The instance is read-only —

@@ -16,6 +16,7 @@ weight in a canonical token order. The naive baseline uses the same
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.records import Dataset
@@ -31,13 +32,15 @@ WEIGHT_EPS = 1e-7
 class BandFilter:
     """A filter of the form ``|l(r) - l(s)| <= radius`` (§5.3).
 
-    ``keys[rid]`` holds ``l(rid)`` for every record. The same object
-    drives both the in-merge filter (applied when a frontier record is
-    pushed into the heap, §5 "Additional Filters") and the band-join
-    partitioning algorithms of §5.3.
+    ``keys[rid]`` holds ``l(rid)`` for every record: the bound
+    predicate's band-key column (see :meth:`BoundPredicate.band_keys`),
+    held by reference so it stays current as the column grows. The same
+    object drives both the in-merge filter (applied when a frontier
+    record is pushed into the heap, §5 "Additional Filters") and the
+    band-join partitioning algorithms of §5.3.
     """
 
-    keys: tuple[float, ...]
+    keys: Sequence[float]
     radius: float
 
     def accepts(self, rid_a: int, rid_b: int) -> bool:
@@ -84,6 +87,10 @@ class BoundPredicate(ABC):
         self._norms: list[float | None] = [None] * len(dataset)
         self._score_maps: list[dict[int, float] | None] = [None] * len(dataset)
         self._signatures: list[int | None] = [None] * len(dataset)
+        #: Band-key column: ``l(rid)`` for rids ``0 .. len - 1``, grown
+        #: append-only by :meth:`band_keys` (never recomputed per query).
+        self._band_keys: list[float] = []
+        self._band: BandFilter | None = None
 
     # ------------------------------------------------------------------
     # Abstract surface
@@ -101,9 +108,21 @@ class BoundPredicate(ABC):
     def similarity_name(self) -> str:
         """Human-readable name of the natural similarity value."""
 
-    def band_filter(self) -> BandFilter | None:
-        """Optional band filter; None when the predicate has no filter."""
+    def band_radius(self) -> float | None:
+        """Radius of the §5.3 band filter; None when there is no filter.
+
+        Predicates with a filter override this together with
+        :meth:`band_key`; :meth:`band_filter` does the rest.
+        """
         return None
+
+    def band_key(self, rid: int) -> float:
+        """The band key ``l(rid)`` of one record (band predicates only).
+
+        Must depend on record ``rid`` alone — not on the threshold or on
+        other records — so the column can grow one record at a time.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no band filter")
 
     def approx_jaccard_floor(self) -> float | None:
         """Optional token-Jaccard lower bound for qualifying pairs.
@@ -123,12 +142,15 @@ class BoundPredicate(ABC):
     # ------------------------------------------------------------------
 
     def extend_to(self, n_records: int) -> None:
-        """Grow the per-record caches to cover a grown dataset.
+        """Grow the per-record caches and the band-key column to cover a
+        grown dataset.
 
         Used by the incremental :class:`~repro.core.service.SimilarityIndex`
-        between appends; valid when scores of existing records are
-        unaffected by the new ones (corpus-statistic predicates like
-        TF-IDF cosine should rebind instead).
+        on every write, so the band-key column is always current and a
+        query only computes its probe's key; valid when scores of
+        existing records are unaffected by the new ones
+        (corpus-statistic predicates like TF-IDF cosine should rebind
+        instead).
         """
         missing = n_records - len(self._score_vectors)
         if missing > 0:
@@ -136,6 +158,33 @@ class BoundPredicate(ABC):
             self._norms.extend([None] * missing)
             self._score_maps.extend([None] * missing)
             self._signatures.extend([None] * missing)
+        self.band_filter()  # extends the band-key column, if there is one
+
+    def band_keys(self) -> list[float]:
+        """The band-key column, first extended to cover every record.
+
+        Appends :meth:`band_key` for records past the column's end and
+        never rewrites an existing entry, so each record's key is
+        computed once per bind.
+        """
+        keys = self._band_keys
+        for rid in range(len(keys), len(self.dataset)):
+            keys.append(self.band_key(rid))
+        return keys
+
+    def band_filter(self) -> BandFilter | None:
+        """The predicate's band filter over :meth:`band_keys`, or None."""
+        band = self._band
+        # A probe clone (or a re-tightened top-k bind) carries its own
+        # column object; the filter must read that one.
+        if band is None or band.keys is not self._band_keys:
+            radius = self.band_radius()
+            if radius is None:
+                return None
+            band = self._band = BandFilter(keys=self._band_keys, radius=radius)
+        if len(band.keys) < len(self.dataset):
+            self.band_keys()
+        return band
 
     def cached_score_vector(self, rid: int) -> tuple[float, ...]:
         """Memoized :meth:`score_vector`."""
@@ -174,7 +223,12 @@ class BoundPredicate(ABC):
         """``||r|| = sum(score(w, r)^2)`` (paper Eq. 1), memoized."""
         value = self._norms[rid]
         if value is None:
-            value = sum(s * s for s in self.cached_score_vector(rid))
+            if self.unit_scores:
+                # Every score is 1.0: the sum of squares is the set size
+                # (exactly — no score vector needs building).
+                value = float(len(self.dataset[rid]))
+            else:
+                value = sum(s * s for s in self.cached_score_vector(rid))
             self._norms[rid] = value
         return value
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.core.records import Dataset
-from repro.predicates.base import BandFilter, BoundPredicate, SimilarityPredicate
+from repro.predicates.base import BoundPredicate, SimilarityPredicate
 
 __all__ = ["DicePredicate", "OverlapCoefficientPredicate"]
 
@@ -29,7 +29,6 @@ class _BoundDice(BoundPredicate):
     def __init__(self, dataset: Dataset, f: float):
         super().__init__(dataset)
         self.f = f
-        self._band: BandFilter | None = None
 
     def score_vector(self, rid: int) -> tuple[float, ...]:
         return (1.0,) * len(self.dataset[rid])
@@ -46,15 +45,12 @@ class _BoundDice(BoundPredicate):
             return 0.0
         return 2.0 * weight / total
 
-    def band_filter(self) -> BandFilter | None:
-        if self._band is None or len(self._band.keys) != len(self.dataset):
-            keys = tuple(
-                math.log(self.norm(rid)) if self.norm(rid) > 0 else -math.inf
-                for rid in range(len(self.dataset))
-            )
-            ratio = self.f / (2.0 - self.f)
-            self._band = BandFilter(keys=keys, radius=-math.log(ratio))
-        return self._band
+    def band_key(self, rid: int) -> float:
+        norm = self.norm(rid)
+        return math.log(norm) if norm > 0 else -math.inf
+
+    def band_radius(self) -> float:
+        return -math.log(self.f / (2.0 - self.f))
 
 
 class DicePredicate(SimilarityPredicate):

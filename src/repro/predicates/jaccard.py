@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable, Mapping
 
 from repro.core.records import Dataset
-from repro.predicates.base import BandFilter, BoundPredicate, SimilarityPredicate
+from repro.predicates.base import BoundPredicate, SimilarityPredicate
 
 __all__ = ["JaccardPredicate"]
 
@@ -32,7 +32,6 @@ class _BoundJaccard(BoundPredicate):
         self.f = f
         self.weight_of = weight_of
         self.unit_scores = weight_of is None
-        self._band: BandFilter | None = None
 
     def score_vector(self, rid: int) -> tuple[float, ...]:
         if self.weight_of is None:
@@ -51,14 +50,12 @@ class _BoundJaccard(BoundPredicate):
             return 0.0
         return weight / union
 
-    def band_filter(self) -> BandFilter | None:
-        if self._band is None or len(self._band.keys) != len(self.dataset):
-            keys = tuple(
-                math.log(self.norm(rid)) if self.norm(rid) > 0 else -math.inf
-                for rid in range(len(self.dataset))
-            )
-            self._band = BandFilter(keys=keys, radius=-math.log(self.f))
-        return self._band
+    def band_key(self, rid: int) -> float:
+        norm = self.norm(rid)
+        return math.log(norm) if norm > 0 else -math.inf
+
+    def band_radius(self) -> float:
+        return -math.log(self.f)
 
 
 class JaccardPredicate(SimilarityPredicate):

@@ -133,7 +133,8 @@ class TestNetworkChaos:
         for probe in self.queries:
             result = self.server.query(probe, timeout=WAIT)
             assert not result.partial, (
-                f"lost shards {result.shards_failed} with no fault armed"
+                f"lost shards {result.shards_failed} with no fault armed;"
+                f" faulted shard health: {self._faulted()}"
             )
             assert _fingerprint(result) == self.reference[probe]
 
@@ -257,9 +258,7 @@ class TestNetworkChaos:
             # counted. (While the circuit is open pings are *skipped*,
             # so this is the only window that can record a miss.)
             assert _wait_until(
-                lambda: self.server.health()["shards"][self.FAULTED][
-                    "heartbeats"
-                ]["failed"] > 0
+                lambda: self._heartbeats()["failed"] > 0
             ), "no failed heartbeat was recorded against the dead node"
 
             shard_records = [
@@ -267,12 +266,19 @@ class TestNetworkChaos:
                 for rid, text in enumerate(self.texts)
                 if self.server.router.shard_of(rid) == self.FAULTED
             ]
+            # The node is down, so no ping can succeed until it is back.
+            pings_ok_while_down = self._heartbeats()["ok"]
             self.node_a = _node(shard_records)  # same state, new port
             self.proxy.retarget(*self.node_a.address)
             assert _wait_until(self._all_complete), (
                 "tier did not reconnect after node restart"
             )
             self._assert_all_complete_and_exact()
+            # Heartbeats run on their own clock: queries can reach the
+            # restarted node before any ping has, so wait for one.
+            assert _wait_until(
+                lambda: self._heartbeats()["ok"] > pings_ok_while_down
+            ), "no heartbeat ever reached the restarted node"
 
             # Accounting sanity: reconnects and heartbeat failures were
             # observed and surfaced in health.
@@ -292,10 +298,24 @@ class TestNetworkChaos:
 
     def _all_complete(self) -> bool:
         result = self.server.query(self.queries[0], timeout=WAIT)
-        return not result.partial and (
-            _fingerprint(result) == self.reference[self.queries[0]]
+        # Recovered also means the faulted shard's breaker is closed,
+        # read *after* the answer: a heartbeat ping sent while the node
+        # was down can fail late and trip the breaker while this query
+        # is in flight, and a success that lands on an open breaker
+        # does not close it — the next query would be refused.
+        return (
+            not result.partial
+            and _fingerprint(result) == self.reference[self.queries[0]]
+            and self._faulted()["breaker"]["state"] == "closed"
         )
 
+    def _faulted(self) -> dict:
+        """The faulted shard's row of the server's health report."""
+        return self.server.health()["shards"][self.FAULTED]
+
+    def _heartbeats(self) -> dict:
+        return self._faulted()["heartbeats"]
+
     def _client_counters(self) -> dict:
-        row = self.server.health()["shards"][self.FAULTED]
+        row = self._faulted()
         return {"retries": row["retries"], "reconnects": row["reconnects"]}

@@ -11,6 +11,7 @@ Two halves of one regression:
   a serial execution.
 """
 
+import sys
 import threading
 
 import pytest
@@ -147,14 +148,32 @@ class TestLockedIndexRunsTheSameScheduleCleanly:
                     failures.append(exc)
                     return
 
-        readers = [_run(lambda q=q: reader(q)) for q in queries for _ in range(2)]
-        for text in corpus:
-            live.add(text)
-        stop.set()
-        for thread in readers:
-            thread.join(WAIT)
-            assert not thread.is_alive()
+        # A short switch interval interleaves readers and the writer
+        # finely enough that a reader touching shared state would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [
+                _run(lambda q=q: reader(q)) for q in queries for _ in range(2)
+            ]
+            for text in corpus:
+                live.add(text)
+            stop.set()
+            for thread in readers:
+                thread.join(WAIT)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
         assert failures == []
+
+        # Readers only ever overlaid their probe's band key: the shared
+        # column still covers exactly the indexed records, with the keys
+        # a write-side bind computes.
+        column = live._bound._band_keys
+        assert len(column) == len(live) == len(corpus)
+        rebound = JaccardPredicate(0.4).bind(live._dataset)
+        assert column == [rebound.band_key(rid) for rid in range(len(live))]
 
         # The writer's insertion order is deterministic, so the final
         # index must agree with a never-shared serial one, exactly.
