@@ -28,10 +28,12 @@ contract.
 **Rare-word skip path.** :func:`accumulate_merge_opt` reuses
 :func:`~repro.core.merge_opt.split_lists` (§3.1 Algorithm 1): only the
 short S lists are scanned into the accumulator; candidates are then
-completed against the long L lists smallest-first with a galloping
-(doubling) binary search and the same early-termination bound the heap
-path uses. Gallop bracket steps are reported as
-``counters.gallop_steps``.
+completed against the long L lists smallest-first with the same
+searches and early-termination bound the heap path uses. Each search
+resumes at its list's frontier; ``counters.gallop_steps`` reports the
+bracket-doubling steps the paper's doubling search (§3.1 Algorithm 1
+step 10) takes for it — ``(d - 1).bit_length()`` for a move of
+``d > 1`` positions — without running that search in Python.
 
 **Result identity.** For a given entity, both backends sum the same
 contributions in the same order — the heap pops equal RIDs in
@@ -51,13 +53,12 @@ separately as ``accum_scans``/``accum_writes`` (excluded from
 
 from __future__ import annotations
 
+import math
 from array import array
-from bisect import bisect_left
-from collections.abc import Callable
 
 from repro.core.inverted_index import PostingList
-from repro.core.merge_opt import split_lists
-from repro.predicates.base import WEIGHT_EPS
+from repro.core.merge_opt import long_lists, split_lists
+from repro.predicates.base import ProbeLimits
 from repro.utils.counters import CostCounters
 
 __all__ = [
@@ -80,6 +81,9 @@ MERGE_BACKENDS = ("auto", "heap", "accumulator")
 #: per-dataset tuning knob.
 AUTO_MIN_ENTRIES = 32
 
+#: Head of an L list searched to its end: above every entity id.
+_PAST_END = math.inf
+
 
 def resolve_merge_backend(value) -> str:
     """Validate a ``merge_backend`` knob value (None means ``auto``)."""
@@ -100,7 +104,7 @@ def use_accumulator(backend: str, lists: list[tuple[PostingList, float]]) -> boo
         return True
     total = 0
     for plist, _probe_score in lists:
-        total += len(plist)
+        total += len(plist.ids)
     return total >= AUTO_MIN_ENTRIES
 
 
@@ -145,18 +149,16 @@ class ScoreAccumulator:
 
 def accumulate_merge(
     lists: list[tuple[PostingList, float]],
-    threshold_of: Callable[[int], float],
+    limits: ProbeLimits,
     counters: CostCounters,
-    accept: Callable[[int], bool] | None = None,
     acc: ScoreAccumulator | None = None,
 ) -> list[tuple[int, float]]:
     """Merge posting lists by counting; same contract as ``heap_merge``.
 
     Args:
         lists: ``(posting_list, probe_score)`` pairs from the index probe.
-        threshold_of: maps an entity id to its pair threshold ``T(r, s)``.
+        limits: the probe's pair-threshold and band-filter columns.
         counters: work counters to update.
-        accept: optional id-level filter; filtered ids are skipped.
         acc: dense buffer to accumulate into; ``None`` (or ids outside
             its capacity) selects the sparse dict fallback.
 
@@ -166,12 +168,14 @@ def accumulate_merge(
     """
     if not lists:
         return []
-    touched, weights = _scan_lists(lists, accept, acc, counters)
+    touched, weights = _scan_lists(lists, limits, acc, counters)
+    norms = limits.norms
+    limit_of = limits.limit_map()
     candidates: list[tuple[int, float]] = []
     append = candidates.append
     for entity in touched:
         weight = weights[entity]
-        if weight >= threshold_of(entity) - WEIGHT_EPS:
+        if weight >= limit_of[norms[entity]]:
             append((entity, weight))
     return candidates
 
@@ -179,51 +183,70 @@ def accumulate_merge(
 def accumulate_merge_opt(
     lists: list[tuple[PostingList, float]],
     index_threshold: float,
-    threshold_of: Callable[[int], float],
+    limits: ProbeLimits,
     counters: CostCounters,
-    accept: Callable[[int], bool] | None = None,
     acc: ScoreAccumulator | None = None,
 ) -> list[tuple[int, float]]:
     """Threshold-optimized counting merge; same contract as ``merge_opt``.
 
     S lists (short) are scanned into the accumulator; each touched
-    entity is then completed against the L lists (long) smallest-first
-    with galloping searches, bailing out early once even full
-    membership in the remaining L lists cannot reach ``T(r, m)`` —
-    exactly Algorithm 1 steps 8–11, with the heap replaced by the scan.
+    entity is then completed against the L lists (long) smallest-first,
+    bailing out early once even full membership in the remaining L
+    lists cannot reach ``T(r, m)`` — exactly Algorithm 1 steps 8–11,
+    with the heap replaced by the scan.
     """
     if not lists:
         return []
     ordered, cumulative, k = split_lists(lists, index_threshold)
-    small = ordered[k:]
-    if not small:
+    if k == len(ordered):
         # Entities appearing only in L lists cannot reach the threshold.
         return []
-    large = ordered[:k]
-    touched, weights = _scan_lists(small, accept, acc, counters)
+    touched, weights = _scan_lists(ordered[k:], limits, acc, counters)
+    large = long_lists(ordered, cumulative, k)
+    norms = limits.norms
+    limit_of = limits.limit_map()
 
-    # Per-L-list search frontiers: touched ids are visited in increasing
-    # order, so each gallop resumes where the previous one ended.
-    search_from = [0] * k
+    # Per-L-list search state: the frontier — touched ids arrive in
+    # increasing order, so each search resumes where the previous one
+    # ended — and the id at the frontier. Ids are strictly increasing
+    # integers, so an entity past that head lies at most
+    # ``entity - head`` positions on, which bounds the bisect; an entity
+    # at or before the head needs no bisect at all. Positions (and so
+    # every counter) are exactly those of a plain search from the
+    # frontier.
+    frontiers = [0] * k
+    heads = [ids[0] if n else _PAST_END for ids, _s, _p, n, _c, _f in large]
     searches = 0
     gallop_steps = 0
     candidates: list[tuple[int, float]] = []
     append = candidates.append
     for entity in touched:
         weight = weights[entity]
-        pair_threshold = threshold_of(entity)
-        for i in range(k - 1, -1, -1):
-            if weight + cumulative[i] < pair_threshold - WEIGHT_EPS:
+        limit = limit_of[norms[entity]]
+        i = 0
+        for ids, scores, probe_score, n, reach, search in large:
+            if weight + reach < limit:
                 break
-            plist, probe_score = large[i]
-            searches += 1
-            ids = plist.ids
-            position, steps = _gallop_from(ids, entity, search_from[i])
-            gallop_steps += steps
-            search_from[i] = position
-            if position < len(ids) and ids[position] == entity:
-                weight += probe_score * plist.scores[position]
-        if weight >= pair_threshold - WEIGHT_EPS:
+            head = heads[i]
+            if entity > head:
+                start = frontiers[i]
+                hi = start + entity - head
+                position = frontiers[i] = search(
+                    ids, entity, start + 1, hi if hi < n else n
+                )
+                if position - start > 1:
+                    gallop_steps += (position - start - 1).bit_length()
+                if position < n:
+                    head = heads[i] = ids[position]
+                    if head == entity:
+                        weight += probe_score * scores[position]
+                else:
+                    heads[i] = _PAST_END
+            elif head == entity:
+                weight += probe_score * scores[frontiers[i]]
+            i += 1
+        searches += i
+        if weight >= limit:
             append((entity, weight))
     counters.binary_searches += searches
     counters.gallop_steps += gallop_steps
@@ -235,8 +258,9 @@ def accumulate_merge_opt(
 # ----------------------------------------------------------------------
 
 
-def _scan_lists(lists, accept, acc, counters):
-    """Accumulate every list entry; returns (sorted touched ids, weights).
+def _scan_lists(lists, limits, acc, counters):
+    """Accumulate every list entry the band filter passes; returns
+    (sorted touched ids, weights).
 
     ``weights`` supports ``[entity]`` lookup for exactly the returned
     ids (dense array or fallback dict). Counter updates happen here —
@@ -244,8 +268,8 @@ def _scan_lists(lists, accept, acc, counters):
     counts.
     """
     if acc is not None and _fits_dense(lists, acc.capacity):
-        return _scan_dense(lists, accept, acc, counters)
-    return _scan_sparse(lists, accept, counters)
+        return _scan_dense(lists, limits, acc, counters)
+    return _scan_sparse(lists, limits, counters)
 
 
 def _fits_dense(lists, capacity: int) -> bool:
@@ -258,19 +282,23 @@ def _fits_dense(lists, capacity: int) -> bool:
     return True
 
 
-def _scan_dense(lists, accept, acc, counters):
+def _scan_dense(lists, limits, acc, counters):
     epoch = acc.begin()
     weights = acc.weights
     epochs = acc.epochs
+    keys = limits.keys
+    key_r = limits.key_r
+    radius = limits.radius
     touched: list[int] = []
     touched_append = touched.append
     scans = 0
     accepted = 0
     for plist, probe_score in lists:
         ids = plist.ids
-        scans += len(ids)
-        if accept is None:
-            accepted += len(ids)
+        n = len(ids)
+        scans += n
+        if keys is None:
+            accepted += n
             for entity, score in zip(ids, plist.scores):
                 if epochs[entity] == epoch:
                     weights[entity] += probe_score * score
@@ -280,7 +308,7 @@ def _scan_dense(lists, accept, acc, counters):
                     touched_append(entity)
         else:
             for entity, score in zip(ids, plist.scores):
-                if not accept(entity):
+                if not abs(keys[entity] - key_r) <= radius:
                     continue
                 accepted += 1
                 if epochs[entity] == epoch:
@@ -297,15 +325,19 @@ def _scan_dense(lists, accept, acc, counters):
     return touched, weights
 
 
-def _scan_sparse(lists, accept, counters):
+def _scan_sparse(lists, limits, counters):
+    keys = limits.keys
+    key_r = limits.key_r
+    radius = limits.radius
     weights: dict[int, float] = {}
     scans = 0
     accepted = 0
     for plist, probe_score in lists:
         ids = plist.ids
-        scans += len(ids)
-        if accept is None:
-            accepted += len(ids)
+        n = len(ids)
+        scans += n
+        if keys is None:
+            accepted += n
             for entity, score in zip(ids, plist.scores):
                 if entity in weights:
                     weights[entity] += probe_score * score
@@ -313,7 +345,7 @@ def _scan_sparse(lists, accept, counters):
                     weights[entity] = probe_score * score
         else:
             for entity, score in zip(ids, plist.scores):
-                if not accept(entity):
+                if not abs(keys[entity] - key_r) <= radius:
                     continue
                 accepted += 1
                 if entity in weights:
@@ -326,29 +358,3 @@ def _scan_sparse(lists, accept, counters):
     counters.list_items_touched += accepted
     counters.candidates_checked += len(touched)
     return touched, weights
-
-
-def _gallop_from(items, target: int, start: int) -> tuple[int, int]:
-    """Counting twin of :func:`repro.utils.search.gallop_search_from`.
-
-    Returns ``(insertion point, bracket-doubling steps)``; the position
-    is identical to the utils version (a property test pins this), the
-    step count feeds ``counters.gallop_steps``.
-    """
-    n = len(items)
-    if start >= n:
-        return n, 0
-    if items[start] >= target:
-        return start, 0
-    step = 1
-    lo = start
-    hi = start + step
-    steps = 0
-    while hi < n and items[hi] < target:
-        lo = hi
-        step <<= 1
-        hi = start + step
-        steps += 1
-    if hi >= n:
-        hi = n
-    return bisect_left(items, target, lo + 1, hi), steps

@@ -43,7 +43,7 @@ from repro.predicates.base import WEIGHT_EPS, BoundPredicate, SimilarityPredicat
 from repro.runtime.errors import JoinInterrupted, MemoryBudgetExceeded
 from repro.utils.counters import CostCounters
 
-__all__ = ["SetJoinAlgorithm"]
+__all__ = ["SetJoinAlgorithm", "merge_opt_lists"]
 
 
 class SetJoinAlgorithm(ABC):
@@ -424,24 +424,18 @@ class SetJoinAlgorithm(ABC):
             mode = resolve_merge_backend(self.merge_backend)
         return mode
 
-    def _merge_lists(self, lists, threshold_of, counters, accept=None):
+    def _merge_lists(self, lists, limits, counters):
         """Backend-dispatched ``heap_merge``-contract merge."""
         if use_accumulator(self._merge_mode_of(), lists):
-            return accumulate_merge(
-                lists, threshold_of, counters, accept, acc=self._accumulator
-            )
-        return heap_merge(lists, threshold_of, counters, accept)
+            return accumulate_merge(lists, limits, counters, self._accumulator)
+        return heap_merge(lists, limits, counters)
 
-    def _merge_opt_lists(
-        self, lists, index_threshold, threshold_of, counters, accept=None
-    ):
+    def _merge_opt_lists(self, lists, index_threshold, limits, counters):
         """Backend-dispatched ``merge_opt``-contract merge."""
-        if use_accumulator(self._merge_mode_of(), lists):
-            return accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept,
-                acc=self._accumulator,
-            )
-        return merge_opt(lists, index_threshold, threshold_of, counters, accept)
+        return merge_opt_lists(
+            self._merge_mode_of(), lists, index_threshold, limits, counters,
+            self._accumulator,
+        )
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -548,13 +542,10 @@ class SetJoinAlgorithm(ABC):
         return runner
 
 
-def _band_accept(band, rid):
-    """Closure factory for the in-merge band filter."""
-    keys = band.keys
-    radius = band.radius + 1e-12
-    key_r = keys[rid]
-
-    def accept(sid: int) -> bool:
-        return abs(keys[sid] - key_r) <= radius
-
-    return accept
+def merge_opt_lists(backend, lists, index_threshold, limits, counters, acc):
+    """``merge_opt``-contract merge on the backend ``use_accumulator``
+    picks for this probe — the join drivers' and the serving index's
+    one dispatch."""
+    if use_accumulator(backend, lists):
+        return accumulate_merge_opt(lists, index_threshold, limits, counters, acc)
+    return merge_opt(lists, index_threshold, limits, counters)

@@ -328,7 +328,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         batch_of_cluster = dict(enumerate(assignment))
         batch_files = pinfo.split(batch_of_cluster, n_batches)
 
-        band = bound.band_filter()
+        columns = bound.position_columns(order)
         pairs: list[MatchPair] = []
 
         def scan_entries():
@@ -361,7 +361,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
                         continue
                     self._probe_batch_cluster(
                         cluster_index, entry.rid, tokens, scores, norm_r,
-                        bound, band, order, counters, pairs,
+                        bound, columns, order, counters, pairs,
                     )
             if entry.home >= 0:
                 home_index = indexes.get(entry.home)
@@ -380,7 +380,7 @@ class ClusterMemJoin(SetJoinAlgorithm):
         scores: tuple[float, ...],
         norm_r: float,
         bound: BoundPredicate,
-        band,
+        columns: tuple[list[float], list[float] | None],
         order: list[int],
         counters: CostCounters,
         pairs: list[MatchPair],
@@ -389,21 +389,10 @@ class ClusterMemJoin(SetJoinAlgorithm):
         lists = cluster_index.probe_lists(tokens, scores)
         if not lists:
             return
-
-        def threshold_of(pos: int) -> float:
-            return bound.threshold(norm_r, bound.norm(order[pos]))
-
-        accept = None
-        if band is not None:
-            keys = band.keys
-            radius = band.radius + 1e-12
-            key_r = keys[rid]
-
-            def accept(pos: int) -> bool:
-                return abs(keys[order[pos]] - key_r) <= radius
-
         index_threshold = bound.index_threshold(norm_r, cluster_index.min_norm)
-        candidates = merge_opt(lists, index_threshold, threshold_of, counters, accept)
+        candidates = merge_opt(
+            lists, index_threshold, bound.probe_limits(rid, *columns), counters
+        )
         for pos, _weight in candidates:
             sid = order[pos]
             self._verify_pair(bound, min(rid, sid), max(rid, sid), counters, pairs)

@@ -97,6 +97,9 @@ class ClusterSet:
     def __init__(self):
         self.clusters: list[Cluster] = []
         self.index = ScoredInvertedIndex()
+        #: Cluster-norm column: ``norms[cid]`` is ``||C||``, kept by
+        #: :meth:`assign` (the merge reads it per candidate cluster).
+        self.norms: list[float] = []
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -107,11 +110,12 @@ class ClusterSet:
     def new_cluster(self) -> Cluster:
         cluster = Cluster(len(self.clusters))
         self.clusters.append(cluster)
+        self.norms.append(cluster.min_member_norm)
         return cluster
 
     def cluster_norm(self, cid: int) -> float:
         """The summary ||C|| used in threshold computations."""
-        return self.clusters[cid].min_member_norm
+        return self.norms[cid]
 
     def assign(
         self,
@@ -124,6 +128,7 @@ class ClusterSet:
     ) -> None:
         """Add a record to a cluster and refresh the cluster-level index."""
         updates = cluster.add_record(position, rid, tokens, scores, norm)
+        self.norms[cluster.cid] = cluster.min_member_norm
         added = 0
         for token, score in updates:
             # insert_sorted reports whether the entry is new; only those

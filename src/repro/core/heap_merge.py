@@ -22,10 +22,9 @@ candidate list are bit-identical to the straightforward formulation
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
 
 from repro.core.inverted_index import PostingList
-from repro.predicates.base import WEIGHT_EPS
+from repro.predicates.base import ProbeLimits
 from repro.utils.counters import CostCounters
 
 __all__ = ["heap_merge"]
@@ -33,9 +32,8 @@ __all__ = ["heap_merge"]
 
 def heap_merge(
     lists: list[tuple[PostingList, float]],
-    threshold_of: Callable[[int], float],
+    limits: ProbeLimits,
     counters: CostCounters,
-    accept: Callable[[int], bool] | None = None,
 ) -> list[tuple[int, float]]:
     """Merge posting lists, returning ``(entity_id, weight)`` candidates.
 
@@ -43,19 +41,23 @@ def heap_merge(
         lists: ``(posting_list, probe_score)`` pairs from the index probe;
             a match in list ``l_w`` contributes
             ``probe_score * entry_score``.
-        threshold_of: maps an entity id to its pair threshold ``T(r, s)``.
+        limits: the probe's pair-threshold and band-filter columns;
+            entities the band filter rejects are skipped entirely.
         counters: work counters to update.
-        accept: optional id-level filter (e.g. "only ids smaller than the
-            probing record" for two-pass self-joins); filtered ids are
-            skipped entirely.
 
     Returns candidates with ``weight >= T(r, s) - eps`` in increasing id
     order.
     """
+    norms = limits.norms
+    keys = limits.keys
+    key_r = limits.key_r
+    radius = limits.radius
+    limit_of = limits.limit_map()
     n_lists = len(lists)
     ids_of: list = [None] * n_lists
     scores_of: list = [None] * n_lists
     probe_of: list = [0.0] * n_lists
+    lens_of: list[int] = [0] * n_lists
     frontiers: list[int] = [0] * n_lists
     heap: list[tuple[int, int]] = []
     pushes = 0
@@ -65,9 +67,9 @@ def heap_merge(
         scores_of[list_idx] = plist.scores
         probe_of[list_idx] = probe_score
         position = 0
-        n = len(ids)
-        if accept is not None:
-            while position < n and not accept(ids[position]):
+        n = lens_of[list_idx] = len(ids)
+        if keys is not None:
+            while position < n and not abs(keys[ids[position]] - key_r) <= radius:
                 position += 1
         if position < n:
             heap.append((ids[position], list_idx))
@@ -97,9 +99,9 @@ def heap_merge(
             weight += probe_of[list_idx] * scores_of[list_idx][position - 1]
             touched += 1
             ids = ids_of[list_idx]
-            n = len(ids)
-            if accept is not None:
-                while position < n and not accept(ids[position]):
+            n = lens_of[list_idx]
+            if keys is not None:
+                while position < n and not abs(keys[ids[position]] - key_r) <= radius:
                     position += 1
             if position < n:
                 heappush(heap, (ids[position], list_idx))
@@ -112,7 +114,7 @@ def heap_merge(
             else:
                 break
         checked += 1
-        if weight >= threshold_of(current) - WEIGHT_EPS:
+        if weight >= limit_of[norms[current]]:
             append((current, weight))
     counters.heap_pops += pops
     counters.heap_pushes += pushes

@@ -80,7 +80,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         else:
             order = list(range(len(dataset)))
-        band = bound.band_filter()
+        columns = bound.position_columns(order)
         clusters = ClusterSet()
         pairs: list[MatchPair] = []
         self.last_assignment = {}
@@ -96,13 +96,13 @@ class ProbeClusterJoin(SetJoinAlgorithm):
             # state deterministically. Only the pair-emitting fine joins
             # are skipped (their pairs were restored from the checkpoint).
             join_clusters, home = self._probe_clusters(
-                clusters, tokens, scores, norm_r, bound, counters
+                clusters, rid, tokens, scores, norm_r, bound, counters
             )
             if not replay:
                 for cid in join_clusters:
                     self._fine_join(
-                        clusters[cid], rid, tokens, scores, norm_r, bound, band,
-                        order, counters, pairs,
+                        clusters[cid], rid, tokens, scores, norm_r, bound,
+                        columns, order, counters, pairs,
                     )
             target = self._assign_home(
                 clusters, home, position, rid, tokens, scores, norm_r, counters
@@ -150,6 +150,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
     def _probe_clusters(
         self,
         clusters: ClusterSet,
+        rid: int,
         tokens: tuple[int, ...],
         scores: tuple[float, ...],
         norm_r: float,
@@ -172,10 +173,7 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         # limited-memory variant, §4.1.1 — see ClusterMemJoin.)
         join_threshold = bound.index_threshold(norm_r, clusters.index.min_norm)
         candidates = self._merge_opt_lists(
-            lists,
-            join_threshold,
-            lambda cid: bound.threshold(norm_r, clusters.cluster_norm(cid)),
-            counters,
+            lists, join_threshold, bound.probe_limits(rid, clusters.norms), counters
         )
         nr_cap = self.max_cluster_records
         joins: list[int] = []
@@ -201,12 +199,17 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         scores: tuple[float, ...],
         norm_r: float,
         bound: BoundPredicate,
-        band,
+        columns: tuple[list[float], list[float] | None],
         order: list[int],
         counters: CostCounters,
         pairs: list[MatchPair],
     ) -> None:
-        """Exact record-level probe inside one matching cluster."""
+        """Exact record-level probe inside one matching cluster.
+
+        ``columns`` are the position-keyed norm and band-key columns
+        (:meth:`BoundPredicate.position_columns`) of the cluster's
+        position-keyed index.
+        """
         counters.cluster_probes += 1
         if len(cluster) == 1:
             # Singleton cluster: the cluster-level match IS the record
@@ -219,21 +222,9 @@ class ProbeClusterJoin(SetJoinAlgorithm):
         if not lists:
             return
 
-        def threshold_of(pos: int) -> float:
-            return bound.threshold(norm_r, bound.norm(order[pos]))
-
-        accept = None
-        if band is not None:
-            keys = band.keys
-            radius = band.radius + 1e-12
-            key_r = keys[rid]
-
-            def accept(pos: int) -> bool:
-                return abs(keys[order[pos]] - key_r) <= radius
-
         index_threshold = bound.index_threshold(norm_r, cluster.index.min_norm)
         candidates = self._merge_opt_lists(
-            lists, index_threshold, threshold_of, counters, accept
+            lists, index_threshold, bound.probe_limits(rid, *columns), counters
         )
         for pos, _weight in candidates:
             sid = order[pos]

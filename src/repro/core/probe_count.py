@@ -24,7 +24,7 @@ variants (tests enforce this), only the work differs.
 
 from __future__ import annotations
 
-from repro.core.base import SetJoinAlgorithm, _band_accept
+from repro.core.base import SetJoinAlgorithm
 from repro.core.inverted_index import ScoredInvertedIndex
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
@@ -158,6 +158,8 @@ class ProbeCountJoin(SetJoinAlgorithm):
         )
         try:
             band = bound.band_filter()
+            keys = band.keys if band is not None else None
+            norms = bound.norm_column()
             pairs: list[MatchPair] = []
             use_optmerge = self.variant == "optmerge"
             for _position, rid, replay in self._drive(
@@ -174,16 +176,16 @@ class ProbeCountJoin(SetJoinAlgorithm):
                 lists = index.probe_lists(tokens, scores)
                 if not lists:
                     continue
-                norm_r = bound.norm(rid)
-                threshold_of = _threshold_closure(bound, norm_r, cut)
-                accept = _band_accept(band, rid) if band is not None else None
+                limits = bound.probe_limits(rid, norms, keys, cut)
                 if use_optmerge:
-                    index_threshold = bound.index_threshold(norm_r, index.min_norm)
+                    index_threshold = bound.index_threshold(
+                        limits.norm_r, index.min_norm
+                    )
                     candidates = self._merge_opt_lists(
-                        lists, index_threshold, threshold_of, counters, accept
+                        lists, index_threshold, limits, counters
                     )
                 else:
-                    candidates = self._merge_lists(lists, threshold_of, counters, accept)
+                    candidates = self._merge_lists(lists, limits, counters)
                 if between is not None:
                     for sid, _weight in candidates:
                         self._verify_pair(bound, rid, sid, counters, pairs)
@@ -244,7 +246,7 @@ class ProbeCountJoin(SetJoinAlgorithm):
             order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         else:
             order = list(range(len(dataset)))
-        band = bound.band_filter()
+        norms, keys = bound.position_columns(order)
         # The index is keyed by *processing position* so posting lists
         # stay id-sorted even when records are processed out of RID order.
         index = ScoredInvertedIndex()
@@ -260,22 +262,10 @@ class ProbeCountJoin(SetJoinAlgorithm):
                 counters.probes += 1
             lists = index.probe_lists(tokens, scores) if not replay else None
             if lists:
-
-                def threshold_of(pos: int, _n=norm_r) -> float:
-                    return bound.threshold(_n, bound.norm(order[pos]))
-
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
-                accept = None
-                if band is not None:
-                    keys = band.keys
-                    radius = band.radius + 1e-12
-                    key_r = keys[rid]
-
-                    def accept(pos: int, _k=key_r, _rad=radius) -> bool:
-                        return abs(keys[order[pos]] - _k) <= _rad
-
                 candidates = self._merge_opt_lists(
-                    lists, index_threshold, threshold_of, counters, accept
+                    lists, index_threshold, bound.probe_limits(rid, norms, keys),
+                    counters,
                 )
                 for pos, _weight in candidates:
                     sid = order[pos]
@@ -288,21 +278,6 @@ class ProbeCountJoin(SetJoinAlgorithm):
 
 def _noop_dispose() -> None:
     """Nothing to release for the in-memory index."""
-
-
-def _threshold_closure(bound: BoundPredicate, norm_r: float, cut: float = 0.0):
-    """entity id -> T(r, s) - cut, capturing the probe record's norm."""
-    if cut:
-
-        def cut_threshold_of(sid: int) -> float:
-            return bound.threshold(norm_r, bound.norm(sid)) - cut
-
-        return cut_threshold_of
-
-    def threshold_of(sid: int) -> float:
-        return bound.threshold(norm_r, bound.norm(sid))
-
-    return threshold_of
 
 
 def _split_stopwords(tokens, scores, stopwords: dict[int, float]):

@@ -14,9 +14,9 @@ from repro.utils.counters import CostCounters
 __all__ = ["JoinResult", "MatchPair"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MatchPair:
-    """One matched record pair.
+    """One matched record pair (slotted: a join can hold millions).
 
     Self-join algorithms emit pairs in canonical orientation
     ``rid_a < rid_b`` (use :meth:`make`); for non-self joins ``rid_a`` is

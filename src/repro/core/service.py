@@ -15,14 +15,16 @@ import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
 
-from repro.core.accumulator import (
-    ScoreAccumulator,
-    accumulate_merge_opt,
-    resolve_merge_backend,
-    use_accumulator,
-)
+from repro.core.accumulator import ScoreAccumulator, resolve_merge_backend
+from repro.core.base import merge_opt_lists
 from repro.core.inverted_index import ScoredInvertedIndex
-from repro.core.merge_opt import merge_opt
+
+# Queries merge through ``merge_opt_lists``, which looks the kernels up
+# in repro.core.base. The names stay bound here too because the
+# repository benchmark's tracer (perfbench/layers.py) wraps the kernels
+# by module and name in both modules.
+from repro.core.accumulator import accumulate_merge_opt  # noqa: F401
+from repro.core.merge_opt import merge_opt  # noqa: F401
 from repro.core.records import Dataset
 from repro.core.results import MatchPair
 from repro.filters.adapters import adapter_for
@@ -607,18 +609,14 @@ class SimilarityIndex:
         lists = self._index.probe_lists(record, bound.cached_score_vector(probe_rid))
         if not lists:
             return []
-        norm_r = bound.norm(probe_rid)
+        # The probe's norm and band key live in the clone's overlay
+        # tails; indexed rids read the shared columns, which the write
+        # path keeps full.
         band = bound.band_filter()
-        accept = None
-        if band is not None:
-            # The probe's key lives in the clone's overlay tail; indexed
-            # rids read the shared column directly.
-            key_r = band.keys[probe_rid]
-            keys = band.keys.base
-            radius = band.radius + 1e-12
-
-            def accept(sid: int) -> bool:
-                return abs(keys[sid] - key_r) <= radius
+        limits = bound.probe_limits(
+            probe_rid, bound._norms.base, band.keys.base if band is not None else None
+        )
+        norm_r = limits.norm_r
 
         # Bitmap candidate filter: the probe's signature is ephemeral
         # (never stored); extra unseen-token bits only loosen the
@@ -642,16 +640,12 @@ class SimilarityIndex:
                 const_threshold = bound.threshold(0.0, 0.0)
 
         index_threshold = bound.index_threshold(norm_r, self._index.min_norm)
-        threshold_of = lambda sid: bound.threshold(norm_r, bound.norm(sid))  # noqa: E731
-        if use_accumulator(self.merge_backend, lists):
-            candidates = accumulate_merge_opt(
-                lists, index_threshold, threshold_of, counters, accept,
-                acc=self._thread_accumulator(probe_rid),
-            )
-        else:
-            candidates = merge_opt(
-                lists, index_threshold, threshold_of, counters, accept
-            )
+        acc = None
+        if self.merge_backend != "heap":
+            acc = self._thread_accumulator(probe_rid)
+        candidates = merge_opt_lists(
+            self.merge_backend, lists, index_threshold, limits, counters, acc
+        )
         matches = []
         for sid, _weight in candidates:
             if context is not None:

@@ -86,7 +86,9 @@ class TopKJoin:
 
         order = sorted(range(len(dataset)), key=lambda rid: (-bound.norm(rid), rid))
         index = ScoredInvertedIndex()
-        band = bound.band_filter()
+        # Norms and band keys are threshold-independent: the columns
+        # stay valid across re-tightening (only the radius changes).
+        norms, keys = bound.position_columns(order)
         for position, rid in enumerate(order):
             tokens = dataset[rid]
             scores = bound.cached_score_vector(rid)
@@ -94,22 +96,10 @@ class TopKJoin:
             counters.probes += 1
             lists = index.probe_lists(tokens, scores)
             if lists:
-
-                def threshold_of(pos: int, _n=norm_r) -> float:
-                    return bound.threshold(_n, bound.norm(order[pos]))
-
-                accept = None
-                if band is not None:
-                    keys = band.keys
-                    radius = band.radius + 1e-12
-                    key_r = keys[rid]
-
-                    def accept(pos: int) -> bool:
-                        return abs(keys[order[pos]] - key_r) <= radius
-
                 index_threshold = bound.index_threshold(norm_r, index.min_norm)
+                limits = bound.probe_limits(rid, norms, keys)
                 for pos, _weight in merge_opt(
-                    lists, index_threshold, threshold_of, counters, accept
+                    lists, index_threshold, limits, counters
                 ):
                     sid = order[pos]
                     counters.pairs_verified += 1
@@ -125,7 +115,6 @@ class TopKJoin:
                         # Ratchet: tighten the predicate to the k-th best.
                         current = best[0][0]
                         bound = self._retighten(bound, current)
-                        band = bound.band_filter()
             index.insert(position, tokens, scores, norm_r, counters)
 
         pairs = [

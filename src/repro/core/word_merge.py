@@ -99,19 +99,16 @@ class WordMergedIndexJoin:
             compressed.append((ordered, tuple(float(counts[s]) for s in ordered)))
 
         index = ScoredInvertedIndex()
+        norms = bound.norm_column()
         pairs: list[MatchPair] = []
         for rid, (supertokens, multiplicities) in enumerate(compressed):
             counters.probes += 1
             lists = index.probe_lists(supertokens, multiplicities)
             if lists:
-                norm_r = bound.norm(rid)
-
-                def threshold_of(sid: int, _n=norm_r) -> float:
-                    return bound.threshold(_n, bound.norm(sid))
-
-                index_threshold = bound.index_threshold(norm_r, index.min_norm)
+                limits = bound.probe_limits(rid, norms)
+                index_threshold = bound.index_threshold(limits.norm_r, index.min_norm)
                 for sid, _weight in merge_opt(
-                    lists, index_threshold, threshold_of, counters
+                    lists, index_threshold, limits, counters
                 ):
                     # The superword weight only upper-bounds the true
                     # overlap: verify on the original records.

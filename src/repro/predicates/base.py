@@ -16,16 +16,26 @@ weight in a canonical token order. The naive baseline uses the same
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.records import Dataset
 
-__all__ = ["WEIGHT_EPS", "BandFilter", "BoundPredicate", "SimilarityPredicate"]
+__all__ = [
+    "WEIGHT_EPS",
+    "BandFilter",
+    "BoundPredicate",
+    "ProbeLimits",
+    "SimilarityPredicate",
+]
 
 # Accumulated-vs-canonical match weights differ only by float summation
 # order; this slack makes candidate generation a guaranteed superset.
 WEIGHT_EPS = 1e-7
+
+#: Slack on the band-filter radius (float rounding of the keys).
+_BAND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,60 @@ class BandFilter:
 
     def accepts(self, rid_a: int, rid_b: int) -> bool:
         """True when the pair survives the filter."""
-        return abs(self.keys[rid_a] - self.keys[rid_b]) <= self.radius + 1e-12
+        return abs(self.keys[rid_a] - self.keys[rid_b]) <= self.radius + _BAND_SLACK
+
+
+class _LimitMap(dict):
+    """``norm_s -> T(r, s) - cut - WEIGHT_EPS``, computed on first use.
+
+    The pair limit is a pure function of the two norms, so one entry
+    serves every entity of that norm for the rest of the probe.
+    """
+
+    __slots__ = ("_threshold", "_norm_r", "_cut")
+
+    def __init__(self, threshold, norm_r: float, cut: float):
+        super().__init__()
+        self._threshold = threshold
+        self._norm_r = norm_r
+        self._cut = cut
+
+    def __missing__(self, norm_s: float) -> float:
+        limit = self[norm_s] = (
+            self._threshold(self._norm_r, norm_s) - self._cut - WEIGHT_EPS
+        )
+        return limit
+
+
+class ProbeLimits(NamedTuple):
+    """What a merge needs to know about one probe, as columns.
+
+    The merge kernels of :mod:`repro.core` read pair thresholds and the
+    §5.3 band filter from these per-entity columns instead of calling
+    back into the predicate once per entity. Built per probe by
+    :meth:`BoundPredicate.probe_limits`.
+
+    ``norms[e]`` is ``||s||`` of entity ``e`` (a record, a processing
+    position or a cluster — whatever ids the probed index holds), and
+    ``keys[e]`` its band key, or ``keys`` is None when no band filter
+    applies. An entity passes the filter when
+    ``abs(keys[e] - key_r) <= radius``. ``cut`` lowers every pair
+    threshold (the §3.1 stopwords variant).
+    """
+
+    threshold: Callable[[float, float], float]
+    norm_r: float
+    norms: Sequence[float]
+    cut: float = 0.0
+    keys: Sequence[float] | None = None
+    key_r: float = 0.0
+    radius: float = 0.0
+
+    def limit_map(self) -> dict[float, float]:
+        """A fresh memo ``norm_s -> T(r, s) - cut - WEIGHT_EPS``: an
+        entity is a candidate when its weight reaches
+        ``limit_map[norms[e]]``."""
+        return _LimitMap(self.threshold, self.norm_r, self.cut)
 
 
 class BoundPredicate(ABC):
@@ -85,6 +148,8 @@ class BoundPredicate(ABC):
         self.dataset = dataset
         self._score_vectors: list[tuple[float, ...] | None] = [None] * len(dataset)
         self._norms: list[float | None] = [None] * len(dataset)
+        #: Every ``_norms`` slot below this index is filled.
+        self._norms_filled = 0
         self._score_maps: list[dict[int, float] | None] = [None] * len(dataset)
         self._signatures: list[int | None] = [None] * len(dataset)
         #: Band-key column: ``l(rid)`` for rids ``0 .. len - 1``, grown
@@ -142,12 +207,12 @@ class BoundPredicate(ABC):
     # ------------------------------------------------------------------
 
     def extend_to(self, n_records: int) -> None:
-        """Grow the per-record caches and the band-key column to cover a
-        grown dataset.
+        """Grow the per-record caches, the norm column and the band-key
+        column to cover a grown dataset.
 
         Used by the incremental :class:`~repro.core.service.SimilarityIndex`
-        on every write, so the band-key column is always current and a
-        query only computes its probe's key; valid when scores of
+        on every write, so both columns are always full and a query
+        only computes its probe's norm and key; valid when scores of
         existing records are unaffected by the new ones
         (corpus-statistic predicates like TF-IDF cosine should rebind
         instead).
@@ -158,7 +223,68 @@ class BoundPredicate(ABC):
             self._norms.extend([None] * missing)
             self._score_maps.extend([None] * missing)
             self._signatures.extend([None] * missing)
+        self.norm_column()
         self.band_filter()  # extends the band-key column, if there is one
+
+    def norm_column(self) -> list[float]:
+        """The norm column ``||rid||``, first filled for every record.
+
+        Fills only the slots past the last fill, so a column grown one
+        record at a time costs O(1) per record.
+        """
+        norms = self._norms
+        norm = self.norm
+        for rid in range(self._norms_filled, len(norms)):
+            if norms[rid] is None:
+                norm(rid)
+        self._norms_filled = len(norms)
+        return norms
+
+    def position_columns(
+        self, order: Sequence[int]
+    ) -> tuple[list[float], list[float] | None]:
+        """The norm and band-key columns re-keyed by processing position.
+
+        Entry ``p`` belongs to record ``order[p]``: the columns of an
+        online join whose index holds positions. Keys are None when the
+        predicate has no band filter.
+        """
+        norm = self.norm
+        norms = [norm(rid) for rid in order]
+        band = self.band_filter()
+        if band is None:
+            return norms, None
+        keys = band.keys
+        return norms, [keys[rid] for rid in order]
+
+    def probe_limits(
+        self,
+        rid: int,
+        norms: Sequence[float],
+        keys: Sequence[float] | None = None,
+        cut: float = 0.0,
+    ) -> ProbeLimits:
+        """The merge inputs of probe record ``rid`` (see :class:`ProbeLimits`).
+
+        ``norms`` and ``keys`` are columns over the probed index's
+        entity ids: :meth:`norm_column` and the band filter's ``keys``
+        when the index holds record ids; the same values re-keyed by
+        position or cluster otherwise. Pass ``keys=None`` to merge
+        without the band filter.
+        """
+        norm_r = self.norm(rid)
+        if keys is None:
+            return ProbeLimits(self.threshold, norm_r, norms, cut)
+        band = self.band_filter()
+        return ProbeLimits(
+            self.threshold,
+            norm_r,
+            norms,
+            cut,
+            keys,
+            band.keys[rid],
+            band.radius + _BAND_SLACK,
+        )
 
     def band_keys(self) -> list[float]:
         """The band-key column, first extended to cover every record.

@@ -63,6 +63,7 @@ import struct
 import sys
 import tempfile
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from zlib import crc32
 
@@ -301,7 +302,8 @@ class _BlockedIds:
     ``payload`` is the varbyte gap stream. Random access decodes (and
     caches) one block; iteration streams blocks in order. Satisfies the
     Sequence surface the merge engines use (``len``, int indexing
-    including negatives, iteration, ``bisect``/gallop probes).
+    including negatives, iteration), and gives the merges' id searches
+    a block-aware :meth:`search_from`.
     """
 
     __slots__ = ("_firsts", "_offsets", "_payload", "_n", "_cached", "_cache")
@@ -350,6 +352,31 @@ class _BlockedIds:
     def __iter__(self):
         for block in range((self._n + _BLOCK_SIZE - 1) // _BLOCK_SIZE):
             yield from self._block(block)
+
+    def search_from(self, target: int, lo: int, hi: int) -> int:
+        """``bisect_left(self, target, lo, hi)``, decoding at most one block.
+
+        Bisects the mapped block-first column for the last block in
+        range whose first id is below ``target``, then bisects inside
+        that block only. A plain ``bisect`` over this sequence would
+        decode every block its midpoints land in.
+        """
+        if lo >= hi:
+            return lo
+        firsts = self._firsts
+        block = bisect_left(
+            firsts, target, lo // _BLOCK_SIZE + 1, (hi - 1) // _BLOCK_SIZE + 1
+        ) - 1
+        base = block * _BLOCK_SIZE
+        within = lo - base if lo > base else 0
+        if within == 0:
+            if firsts[block] >= target:
+                return base
+            within = 1
+        end = min(_BLOCK_SIZE, hi - base)
+        if within >= end:
+            return base + end
+        return base + bisect_left(self._block(block), target, within, end)
 
 
 class MappedPostingList:

@@ -65,14 +65,15 @@ class CostCounters:
             and double-counting would make the accumulator path gate
             against an inflated number.
         accum_scans: posting entries examined by the accumulator
-            backend's batch scans, including entries an ``accept``
-            filter then discards. Excluded from :meth:`total_work` for
+            backend's batch scans, including entries the band filter
+            then discards. Excluded from :meth:`total_work` for
             the same reason as ``accum_writes`` (accepted entries are
             the ``list_items_touched``); kept as its own counter so the
             backend's raw scan volume stays observable.
-        gallop_steps: bracket-doubling iterations performed by the
-            accumulator backend's galloping searches into the rare-word
-            (L) lists. Excluded from :meth:`total_work` —
+        gallop_steps: bracket-doubling iterations a doubling search
+            (§3.1 Algorithm 1 step 10) takes for the accumulator
+            backend's searches into the rare-word (L) lists, computed
+            from each search's distance. Excluded from :meth:`total_work` —
             ``binary_searches`` already counts each search once, at the
             same weight the heap backend pays, keeping the two
             backends' work directly comparable.

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import Dataset
+from repro.predicates.base import ProbeLimits
 
 
 def random_dataset(
@@ -38,6 +39,33 @@ def random_dataset(
             if dup:
                 records.append(tuple(sorted(dup)))
     return Dataset(records)
+
+
+class _Column:
+    """An entity-id column computed on access (merge-kernel tests)."""
+
+    def __init__(self, value_of):
+        self._value_of = value_of
+
+    def __getitem__(self, entity: int):
+        return self._value_of(entity)
+
+
+def limits_for(threshold_of, accept=None) -> ProbeLimits:
+    """:class:`ProbeLimits` for a per-entity threshold and filter.
+
+    Entity ``e`` gets norm ``e``, so the pair threshold of ``e`` is
+    ``threshold_of(e)``; when ``accept`` is given, accepted entities get
+    band key 0 and rejected ones 2, with radius 1 around key 0.
+    """
+    limits = ProbeLimits(
+        lambda _norm_r, norm_s: threshold_of(int(norm_s)), 0.0, _Column(float)
+    )
+    if accept is None:
+        return limits
+    return limits._replace(
+        keys=_Column(lambda e: 0.0 if accept(e) else 2.0), key_r=0.0, radius=1.0
+    )
 
 
 def random_strings(seed: int, n: int = 40, alphabet: str = "abcd", max_len: int = 12) -> list[str]:

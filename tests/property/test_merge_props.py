@@ -8,6 +8,7 @@ from repro.core.inverted_index import PostingList
 from repro.core.merge_dynamic import merge_dynamic
 from repro.core.merge_opt import merge_opt
 from repro.utils.counters import CostCounters
+from tests.conftest import limits_for
 
 # A "probe" is a set of posting lists with scores.
 posting_ids = st.lists(
@@ -51,7 +52,8 @@ class TestMergeProperties:
     @settings(max_examples=150, deadline=None)
     @given(probe, thresholds)
     def test_heap_merge_equals_reference(self, lists_spec, threshold):
-        got = dict(heap_merge(build(lists_spec), lambda _s: threshold, CostCounters()))
+        limits = limits_for(lambda _s: threshold)
+        got = dict(heap_merge(build(lists_spec), limits, CostCounters()))
         expected = reference(lists_spec, threshold)
         assert set(got) == set(expected)
         for entity, weight in got.items():
@@ -61,7 +63,10 @@ class TestMergeProperties:
     @given(probe, thresholds)
     def test_merge_opt_equals_reference(self, lists_spec, threshold):
         got = dict(
-            merge_opt(build(lists_spec), threshold, lambda _s: threshold, CostCounters())
+            merge_opt(
+                build(lists_spec), threshold, limits_for(lambda _s: threshold),
+                CostCounters(),
+            )
         )
         expected = reference(lists_spec, threshold)
         assert set(got) == set(expected)

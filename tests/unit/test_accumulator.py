@@ -14,6 +14,7 @@ from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.core.merge_opt import merge_opt
 from repro.utils.counters import CostCounters
+from tests.conftest import limits_for
 
 
 def make_list(entries):
@@ -44,12 +45,13 @@ class TestScoreAccumulator:
     def test_stale_slots_are_invisible_across_probes(self):
         acc = ScoreAccumulator(8)
         lists = [(make_list([(3, 1.0), (5, 1.0)]), 1.0)]
-        first = accumulate_merge(lists, lambda _s: 1.0, CostCounters(), acc=acc)
+        limits = limits_for(lambda _s: 1.0)
+        first = accumulate_merge(lists, limits, CostCounters(), acc=acc)
         assert first == [(3, 1.0), (5, 1.0)]
         # A second probe touching a different entity must not see the
         # stale weights of 3 and 5 from the previous epoch.
         second = accumulate_merge(
-            [(make_list([(3, 1.0)]), 1.0)], lambda _s: 1.0, CostCounters(), acc=acc
+            [(make_list([(3, 1.0)]), 1.0)], limits, CostCounters(), acc=acc
         )
         assert second == [(3, 1.0)]
 
@@ -81,19 +83,19 @@ class TestAccumulateMerge:
             (make_list([(0, 1.0), (1, 1.0)]), 1.0),
             (make_list([(0, 1.0), (2, 0.5)]), 1.0),
         ]
-        threshold_of = lambda _s: 2.0  # noqa: E731
-        expected = heap_merge(lists, threshold_of, CostCounters())
+        limits = limits_for(lambda _s: 2.0)
+        expected = heap_merge(lists, limits, CostCounters())
         for acc in (None, ScoreAccumulator(8)):
-            got = accumulate_merge(lists, threshold_of, CostCounters(), acc=acc)
+            got = accumulate_merge(lists, limits, CostCounters(), acc=acc)
             assert got == expected
 
     def test_empty_lists(self):
-        assert accumulate_merge([], lambda _s: 1.0, CostCounters()) == []
+        assert accumulate_merge([], limits_for(lambda _s: 1.0), CostCounters()) == []
 
     def test_accept_filter(self):
         lists = [(make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0)]
         got = accumulate_merge(
-            lists, lambda _s: 1.0, CostCounters(), accept=lambda e: e != 1
+            lists, limits_for(lambda _s: 1.0, accept=lambda e: e != 1), CostCounters()
         )
         assert got == [(0, 1.0), (2, 1.0)]
 
@@ -102,11 +104,11 @@ class TestAccumulateMerge:
             (make_list([(1, 0.7), (4, 1.3)]), 1.1),
             (make_list([(1, 0.5), (6, 2.0)]), 0.9),
         ]
-        threshold_of = lambda _s: 1.0  # noqa: E731
+        limits = limits_for(lambda _s: 1.0)
         dense = accumulate_merge(
-            lists, threshold_of, CostCounters(), acc=ScoreAccumulator(7)
+            lists, limits, CostCounters(), acc=ScoreAccumulator(7)
         )
-        sparse = accumulate_merge(lists, threshold_of, CostCounters(), acc=None)
+        sparse = accumulate_merge(lists, limits, CostCounters(), acc=None)
         assert dense == sparse
 
     def test_ids_beyond_capacity_fall_back_to_sparse(self):
@@ -114,7 +116,9 @@ class TestAccumulateMerge:
         # raise or (worse) alias a wrong slot.
         acc = ScoreAccumulator(3)
         lists = [(make_list([(0, 1.0), (5, 1.0)]), 1.0)]
-        got = accumulate_merge(lists, lambda _s: 1.0, CostCounters(), acc=acc)
+        got = accumulate_merge(
+            lists, limits_for(lambda _s: 1.0), CostCounters(), acc=acc
+        )
         assert got == [(0, 1.0), (5, 1.0)]
 
     def test_counters_mirror_heap_semantics(self):
@@ -123,10 +127,10 @@ class TestAccumulateMerge:
             (make_list([(0, 1.0), (1, 1.0)]), 1.0),
         ]
         heap_counters = CostCounters()
-        heap_merge(lists, lambda _s: 2.0, heap_counters)
+        heap_merge(lists, limits_for(lambda _s: 2.0), heap_counters)
         acc_counters = CostCounters()
         accumulate_merge(
-            lists, lambda _s: 2.0, acc_counters, acc=ScoreAccumulator(3)
+            lists, limits_for(lambda _s: 2.0), acc_counters, acc=ScoreAccumulator(3)
         )
         assert acc_counters.list_items_touched == heap_counters.list_items_touched
         assert acc_counters.candidates_checked == heap_counters.candidates_checked
@@ -148,12 +152,10 @@ class TestAccumulateMergeOpt:
             (make_list([(3, 1.0), (7, 1.0)]), 1.0),
             (make_list([(3, 1.0), (9, 1.0)]), 1.0),
         ]
-        threshold_of = lambda _s: 2.0  # noqa: E731
-        expected = merge_opt(lists, 2.0, threshold_of, CostCounters())
+        limits = limits_for(lambda _s: 2.0)
+        expected = merge_opt(lists, 2.0, limits, CostCounters())
         for acc in (None, ScoreAccumulator(32)):
-            got = accumulate_merge_opt(
-                lists, 2.0, threshold_of, CostCounters(), acc=acc
-            )
+            got = accumulate_merge_opt(lists, 2.0, limits, CostCounters(), acc=acc)
             assert got == expected
 
     def test_all_large_returns_empty(self):
@@ -161,7 +163,7 @@ class TestAccumulateMergeOpt:
         counters = CostCounters()
         # index_threshold above the single list's max contribution means
         # every list is "large": entities seen only there cannot qualify.
-        got = accumulate_merge_opt(lists, 5.0, lambda _s: 5.0, counters)
+        got = accumulate_merge_opt(lists, 5.0, limits_for(lambda _s: 5.0), counters)
         assert got == []
 
     def test_gallop_steps_counted(self):
@@ -172,8 +174,10 @@ class TestAccumulateMergeOpt:
         ]
         counters = CostCounters()
         got = accumulate_merge_opt(
-            lists, 2.0, lambda _s: 2.0, counters, acc=ScoreAccumulator(64)
+            lists, 2.0, limits_for(lambda _s: 2.0), counters, acc=ScoreAccumulator(64)
         )
         assert got == [(60, 2.0)]
         assert counters.binary_searches == 1
-        assert counters.gallop_steps > 0
+        # From position 0 to 60, the doubling search brackets with
+        # steps 1, 2, 4, 8, 16, 32: six doublings.
+        assert counters.gallop_steps == 6

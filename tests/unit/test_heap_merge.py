@@ -3,6 +3,7 @@
 from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.utils.counters import CostCounters
+from tests.conftest import limits_for
 
 
 def make_list(entries):
@@ -20,7 +21,7 @@ class TestHeapMerge:
             (make_list([(0, 1.0)]), 1.0),
         ]
         counters = CostCounters()
-        out = heap_merge(lists, lambda _s: 2.0, counters)
+        out = heap_merge(lists, limits_for(lambda _s: 2.0), counters)
         assert out == [(0, 3.0)]
 
     def test_threshold_of_is_per_entity(self):
@@ -29,12 +30,13 @@ class TestHeapMerge:
             (make_list([(0, 1.0), (1, 1.0)]), 1.0),
         ]
         # Entity 0 needs 3 (fails), entity 1 needs 2 (passes).
-        out = heap_merge(lists, lambda s: 3.0 if s == 0 else 2.0, CostCounters())
+        limits = limits_for(lambda s: 3.0 if s == 0 else 2.0)
+        out = heap_merge(lists, limits, CostCounters())
         assert out == [(1, 2.0)]
 
     def test_scores_multiply(self):
         lists = [(make_list([(0, 2.0)]), 3.0)]
-        out = heap_merge(lists, lambda _s: 6.0, CostCounters())
+        out = heap_merge(lists, limits_for(lambda _s: 6.0), CostCounters())
         assert out == [(0, 6.0)]
 
     def test_accept_filter_skips_entities(self):
@@ -42,7 +44,9 @@ class TestHeapMerge:
             (make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
             (make_list([(0, 1.0), (1, 1.0), (2, 1.0)]), 1.0),
         ]
-        out = heap_merge(lists, lambda _s: 2.0, CostCounters(), accept=lambda s: s != 1)
+        out = heap_merge(
+            lists, limits_for(lambda _s: 2.0, accept=lambda s: s != 1), CostCounters()
+        )
         assert out == [(0, 2.0), (2, 2.0)]
 
     def test_results_in_increasing_id_order(self):
@@ -51,11 +55,11 @@ class TestHeapMerge:
             (make_list([(1, 1.0), (3, 1.0), (7, 1.0)]), 1.0),
             (make_list([(3, 1.0), (7, 1.0)]), 1.0),
         ]
-        out = heap_merge(lists, lambda _s: 2.0, CostCounters())
+        out = heap_merge(lists, limits_for(lambda _s: 2.0), CostCounters())
         assert [entity for entity, _w in out] == [3, 7]
 
     def test_empty_lists(self):
-        assert heap_merge([], lambda _s: 1.0, CostCounters()) == []
+        assert heap_merge([], limits_for(lambda _s: 1.0), CostCounters()) == []
 
     def test_counters_track_pops(self):
         lists = [
@@ -63,14 +67,14 @@ class TestHeapMerge:
             (make_list([(0, 1.0)]), 1.0),
         ]
         counters = CostCounters()
-        heap_merge(lists, lambda _s: 1.0, counters)
+        heap_merge(lists, limits_for(lambda _s: 1.0), counters)
         assert counters.heap_pops == 3
         assert counters.heap_pushes == 3
         assert counters.candidates_checked == 2
 
     def test_single_list_every_entry_is_candidate(self):
         lists = [(make_list([(0, 1.0), (5, 1.0), (9, 1.0)]), 1.0)]
-        out = heap_merge(lists, lambda _s: 1.0, CostCounters())
+        out = heap_merge(lists, limits_for(lambda _s: 1.0), CostCounters())
         assert out == [(0, 1.0), (5, 1.0), (9, 1.0)]
 
 
@@ -153,7 +157,9 @@ class TestCounterIdentity:
             accept = (lambda e: e % 3 != 0) if trial % 2 else None
             got_counters = CostCounters()
             ref_counters = CostCounters()
-            got = heap_merge(lists, lambda _s: threshold, got_counters, accept)
+            got = heap_merge(
+                lists, limits_for(lambda _s: threshold, accept), got_counters
+            )
             ref = _reference_heap_merge(
                 lists, lambda _s: threshold, ref_counters, accept
             )

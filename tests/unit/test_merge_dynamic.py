@@ -6,6 +6,7 @@ from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.core.merge_dynamic import merge_dynamic
 from repro.utils.counters import CostCounters
+from tests.conftest import limits_for
 
 
 def make_list(entries):
@@ -36,7 +37,7 @@ class TestMergeDynamicStatic:
 
     def test_matches_heap_merge(self):
         lists = unit_lists([[0, 1, 2], [1, 2], [2, 3]])
-        expected = heap_merge(lists, lambda _s: 2.0, CostCounters())
+        expected = heap_merge(lists, limits_for(lambda _s: 2.0), CostCounters())
         got = collect_all(lists, 2.0, 2.0)
         assert got == expected
 
@@ -48,7 +49,8 @@ class TestMergeDynamicStatic:
                 ids = sorted(rng.sample(range(30), rng.randint(1, 20)))
                 lists.append((make_list([(i, 1.0) for i in ids]), 1.0))
             threshold = rng.uniform(1.0, 4.0)
-            expected = heap_merge(lists, lambda _s: threshold, CostCounters())
+            limits = limits_for(lambda _s: threshold)
+            expected = heap_merge(lists, limits, CostCounters())
             got = collect_all(lists, threshold, threshold)
             assert got == expected, f"trial {trial}"
 
@@ -66,7 +68,9 @@ class TestMergeDynamicRaising:
             initial = cap * 0.2
             truth = {
                 entity: weight
-                for entity, weight in heap_merge(lists, lambda _s: 0.5, CostCounters())
+                for entity, weight in heap_merge(
+                    lists, limits_for(lambda _s: 0.5), CostCounters()
+                )
                 if weight >= cap - 1e-9
             }
             reported = {}

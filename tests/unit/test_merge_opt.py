@@ -6,6 +6,7 @@ from repro.core.heap_merge import heap_merge
 from repro.core.inverted_index import PostingList
 from repro.core.merge_opt import merge_opt, split_lists
 from repro.utils.counters import CostCounters
+from tests.conftest import limits_for
 
 
 def make_list(entries):
@@ -43,8 +44,8 @@ class TestSplitLists:
 class TestMergeOpt:
     def test_matches_heap_merge_simple(self):
         lists = unit_lists([[0, 1, 2, 3], [1, 3], [3]])
-        expected = heap_merge(lists, lambda _s: 2.0, CostCounters())
-        got = merge_opt(lists, 2.0, lambda _s: 2.0, CostCounters())
+        expected = heap_merge(lists, limits_for(lambda _s: 2.0), CostCounters())
+        got = merge_opt(lists, 2.0, limits_for(lambda _s: 2.0), CostCounters())
         assert got == expected
 
     def test_skips_long_list_work(self):
@@ -56,7 +57,7 @@ class TestMergeOpt:
             (make_list([(5, 1.0)]), 1.0),
         ]
         counters = CostCounters()
-        out = merge_opt(lists, 2.0, lambda _s: 2.0, counters)
+        out = merge_opt(lists, 2.0, limits_for(lambda _s: 2.0), counters)
         assert (5, 3.0) in out
         assert (999, 2.0) in out
         # The 1000-entry list was never heap-merged.
@@ -71,7 +72,7 @@ class TestMergeOpt:
             (make_list([(7, 1.0), (9, 1.0)]), 1.0),
             (make_list([(7, 1.0)]), 1.0),
         ]
-        out = merge_opt(lists, 3.5, lambda _s: 3.5, CostCounters())
+        out = merge_opt(lists, 3.5, limits_for(lambda _s: 3.5), CostCounters())
         assert out == []
 
     def test_weights_of_accepted_candidates_are_complete(self):
@@ -83,16 +84,18 @@ class TestMergeOpt:
             (make_list([(10, 1.0)]), 1.0),
             (make_list([(10, 1.0)]), 1.0),
         ]
-        out = merge_opt(lists, 2.0, lambda _s: 2.0, CostCounters())
+        out = merge_opt(lists, 2.0, limits_for(lambda _s: 2.0), CostCounters())
         assert out == [(10, 3.0)]
 
     def test_accept_filter(self):
         lists = unit_lists([[0, 1], [0, 1]])
-        out = merge_opt(lists, 2.0, lambda _s: 2.0, CostCounters(), accept=lambda s: s == 1)
+        out = merge_opt(
+            lists, 2.0, limits_for(lambda _s: 2.0, lambda s: s == 1), CostCounters()
+        )
         assert out == [(1, 2.0)]
 
     def test_empty_input(self):
-        assert merge_opt([], 1.0, lambda _s: 1.0, CostCounters()) == []
+        assert merge_opt([], 1.0, limits_for(lambda _s: 1.0), CostCounters()) == []
 
     def test_equivalence_with_heap_merge_randomized(self):
         rng = random.Random(11)
@@ -103,8 +106,9 @@ class TestMergeOpt:
                 ids = sorted(rng.sample(range(40), rng.randint(1, 25)))
                 lists.append((make_list([(i, 1.0) for i in ids]), 1.0))
             threshold = rng.uniform(1.0, 5.0)
-            expected = heap_merge(lists, lambda _s: threshold, CostCounters())
-            got = merge_opt(lists, threshold, lambda _s: threshold, CostCounters())
+            limits = limits_for(lambda _s: threshold)
+            expected = heap_merge(lists, limits, CostCounters())
+            got = merge_opt(lists, threshold, limits, CostCounters())
             assert got == expected, f"trial {trial}"
 
     def test_equivalence_with_weighted_scores_randomized(self):
@@ -117,11 +121,12 @@ class TestMergeOpt:
                 entries = [(i, rng.uniform(0.1, 2.0)) for i in ids]
                 lists.append((make_list(entries), rng.uniform(0.1, 2.0)))
             threshold = rng.uniform(0.5, 4.0)
+            limits = limits_for(lambda _s, t=threshold: t)
             expected = {
-                e: w for e, w in heap_merge(lists, lambda _s: threshold, CostCounters())
+                e: w for e, w in heap_merge(lists, limits, CostCounters())
             }
             got = {
-                e: w for e, w in merge_opt(lists, threshold, lambda _s: threshold, CostCounters())
+                e: w for e, w in merge_opt(lists, threshold, limits, CostCounters())
             }
             assert set(got) == set(expected), f"trial {trial}"
             for entity, weight in got.items():
